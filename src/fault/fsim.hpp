@@ -3,8 +3,13 @@
 // Substrate for (a) verifying every test the SAT engine produces and
 // (b) fault dropping in the TEGUS-style ATPG loop: a found test is
 // simulated against all still-undetected faults so their SAT instances are
-// never built. Patterns run 64 at a time; per fault only the transitive
-// fanout of the fault site is re-simulated against the good frame.
+// never built. Patterns run 64 at a time against one good-circuit frame.
+// Each fault is then propagated event-driven from its site, level by
+// level: a gate is evaluated only when one of its fanins carries a faulty
+// value that differs from the good value on some pattern, so the work per
+// fault is the part of its fanout cone the fault effect actually reaches.
+// fault_simulate stops a fault's pass at the first level where an output
+// differs; detection_matrix runs every pass to the end.
 //
 // Thread-safe: all functions here are pure — they read the (immutable
 // after construction) Network and allocate every scratch buffer locally —
@@ -35,7 +40,7 @@ struct FsimStats {
   std::uint64_t faults = 0;        ///< fault-list entries examined
   std::uint64_t patterns = 0;      ///< patterns simulated
   std::uint64_t resims = 0;        ///< (fault, 64-pattern block) resims
-  std::uint64_t node_evals = 0;    ///< TFO gate evaluations re-simulated
+  std::uint64_t node_evals = 0;    ///< gates evaluated by the event-driven pass
   std::uint64_t detected = 0;      ///< faults reported detected
 
   FsimStats& operator+=(const FsimStats& other) {

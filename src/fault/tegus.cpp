@@ -144,6 +144,39 @@ FaultOutcome generate_test(const net::Network& netw,
 
 namespace {
 
+/// Simulation-based dropping of one new test, result.tests.back(): the
+/// faults of `tail` (indices into `faults`, in commit order) whose outcome
+/// is still `open` are simulated against it, and each one it detects
+/// becomes kDroppedBySim with that test's index and counts as detected.
+/// Returns the dropped indices in `tail` order; the caller settles its own
+/// phase bookkeeping for them.
+std::vector<std::size_t> drop_by_newest_test(
+    std::span<const StuckAtFault> faults, std::span<const std::size_t> tail,
+    FaultStatus open, const detail::SimulateFn& simulate,
+    AtpgResult& result) {
+  std::vector<StuckAtFault> rest;
+  std::vector<std::size_t> rest_index;
+  for (const std::size_t fi : tail) {
+    if (result.outcomes[fi].status == open) {
+      rest.push_back(faults[fi]);
+      rest_index.push_back(fi);
+    }
+  }
+  std::vector<std::size_t> dropped;
+  if (rest.empty()) return dropped;
+  const Pattern tests[] = {result.tests.back()};
+  const std::vector<bool> hit = simulate(rest, tests);
+  for (std::size_t j = 0; j < rest.size(); ++j) {
+    if (!hit[j]) continue;
+    FaultOutcome& outcome = result.outcomes[rest_index[j]];
+    outcome.status = FaultStatus::kDroppedBySim;
+    outcome.test_index = static_cast<std::int64_t>(result.tests.size()) - 1;
+    ++result.num_detected;
+    dropped.push_back(rest_index[j]);
+  }
+  return dropped;
+}
+
 /// Phase 3: the abort-escalation ladder. Re-attacks every still-kAborted
 /// fault, in fault order, with geometrically growing conflict caps, then
 /// hands the survivors to structural PODEM — a genuinely different search
@@ -266,26 +299,12 @@ void escalate_aborted(const net::Network& netw, const AtpgOptions& options,
 
     // One recovered test may clear several aborts: simulate it against
     // the still-aborted tail.
-    std::vector<StuckAtFault> rest;
-    std::vector<std::size_t> rest_index;
-    for (std::size_t b = a + 1; b < aborted.size(); ++b) {
-      if (result.outcomes[aborted[b]].status == FaultStatus::kAborted) {
-        rest.push_back(faults[aborted[b]]);
-        rest_index.push_back(aborted[b]);
-      }
-    }
-    if (rest.empty()) continue;
-    const Pattern recovered[] = {result.tests.back()};
-    const std::vector<bool> hit = simulate(rest, recovered);
-    for (std::size_t j = 0; j < rest.size(); ++j) {
-      if (!hit[j]) continue;
-      FaultOutcome& dropped = result.outcomes[rest_index[j]];
-      dropped.status = FaultStatus::kDroppedBySim;
-      dropped.test_index = static_cast<std::int64_t>(result.tests.size()) - 1;
-      --result.num_aborted;
-      ++result.num_detected;
-      ++result.num_escalated;
-    }
+    const std::size_t cleared =
+        drop_by_newest_test(faults, std::span(aborted).subspan(a + 1),
+                            FaultStatus::kAborted, simulate, result)
+            .size();
+    result.num_aborted -= cleared;
+    result.num_escalated += cleared;
   }
 }
 
@@ -448,29 +467,13 @@ AtpgResult run_atpg_pipeline(const net::Network& netw,
         result.tests.push_back(test);
         ++result.num_detected;
         if (options.drop_by_simulation) {
-          // Simulate this single test against the remaining tail.
-          std::vector<StuckAtFault> rest;
-          std::vector<std::size_t> rest_index;
-          for (std::size_t j = idx + 1; j < undetected.size(); ++j) {
-            const std::size_t fj = undetected[j];
-            if (!dropped[fj]) {
-              rest.push_back(faults[fj]);
-              rest_index.push_back(fj);
-            }
-          }
-          const Pattern tests[] = {test};
-          const std::vector<bool> hit = simulate(rest, tests);
-          for (std::size_t j = 0; j < rest.size(); ++j) {
-            if (hit[j]) {
-              if (c_sim_dropped != nullptr) c_sim_dropped->add(1);
-              dropped[rest_index[j]] = true;
-              result.outcomes[rest_index[j]].fault = rest[j];
-              result.outcomes[rest_index[j]].status =
-                  FaultStatus::kDroppedBySim;
-              result.outcomes[rest_index[j]].test_index =
-                  static_cast<std::int64_t>(result.tests.size()) - 1;
-              ++result.num_detected;
-            }
+          // Simulate this single test against the remaining tail, whose
+          // open faults are exactly the not yet dropped ones.
+          for (const std::size_t fj : drop_by_newest_test(
+                   faults, std::span(undetected).subspan(idx + 1),
+                   FaultStatus::kUndetermined, simulate, result)) {
+            dropped[fj] = true;
+            if (c_sim_dropped != nullptr) c_sim_dropped->add(1);
           }
         }
         break;
