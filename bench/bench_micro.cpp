@@ -9,6 +9,7 @@
 #include "core/cutwidth.hpp"
 #include "core/mla.hpp"
 #include "fault/fsim.hpp"
+#include "fault/incremental.hpp"
 #include "fault/tegus.hpp"
 #include "gen/hutton.hpp"
 #include "gen/structured.hpp"
@@ -61,6 +62,20 @@ void BM_AtpgSingleFault(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AtpgSingleFault)->Arg(200)->Arg(1000);
+
+// Solver construction alone over the whole-circuit shared-miter CNF — the
+// incremental engine's per-session setup cost.
+void BM_SolverConstruct(benchmark::State& state) {
+  const net::Network n = test_circuit(static_cast<std::size_t>(state.range(0)));
+  const fault::SharedMiterCnf miter(n);
+  for (auto _ : state) {
+    const sat::Solver solver(miter.cnf());
+    benchmark::DoNotOptimize(solver.stats().propagations);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(miter.num_clauses()));
+}
+BENCHMARK(BM_SolverConstruct)->Arg(1000);
 
 void BM_FaultSimulate64(benchmark::State& state) {
   const net::Network n = test_circuit(static_cast<std::size_t>(state.range(0)));

@@ -10,13 +10,29 @@
 //     versions; the XOR outputs are the primary outputs of C_psi^ATPG.
 // CIRCUIT-SAT on the result (encode_circuit_sat: "at least one output is 1")
 // is satisfied exactly by the test vectors for the fault.
+//
+// C_psi^ATPG has one definition: a walk from the fault root (a DFS over
+// fanouts, then the fanin closure of that fanout cone) that numbers the
+// miter's nodes — good copy in source id order, the stuck constant, faulty
+// copy in source id order, then one (XOR, output marker) pair per observed
+// primary output. Two consumers share it:
+//   * encode_atpg_instance writes the clauses of each node as it is
+//     numbered, straight into a sat::Cnf. This is what the per-fault engine
+//     (generate_test) solves; no miter Network exists on that path.
+//   * build_atpg_circuit builds the same nodes as a net::Network. That form
+//     is kept for the Lemma 4.2 ordering transfer (transfer_ordering) and
+//     the figure benches, which need the miter as a circuit.
+// Both give the same numbering, so encode_atpg_instance's CNF is clause
+// for clause encode_circuit_sat(build_atpg_circuit(f).miter) plus the
+// excitation unit clause.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "netlist/cone.hpp"
 #include "netlist/network.hpp"
+#include "sat/cnf.hpp"
 
 namespace cwatpg::fault {
 
@@ -44,8 +60,9 @@ struct AtpgCircuit {
   explicit AtpgCircuit(StuckAtFault f) : fault(f) {}
 };
 
-/// Builds C_psi^ATPG. Throws std::invalid_argument when the fault site
-/// reaches no primary output (trivially untestable, as in net::fault_cone).
+/// Builds C_psi^ATPG. Throws std::invalid_argument when the fault names no
+/// node or pin, or when the fault site reaches no primary output
+/// (trivially untestable, as in net::fault_cone).
 ///
 /// Thread-safe: yes; reads `net` (immutable after construction) and builds
 /// a fresh AtpgCircuit per call. The parallel ATPG engine constructs
@@ -54,6 +71,30 @@ struct AtpgCircuit {
 /// threads, not internally synchronized for concurrent mutation.
 AtpgCircuit build_atpg_circuit(const net::Network& net,
                                const StuckAtFault& fault);
+
+/// C_psi^ATPG as a SAT instance, encoded without building the miter.
+struct AtpgInstance {
+  /// CIRCUIT-SAT(C_psi^ATPG) followed by the excitation unit clause (the
+  /// good value of the faulted net is the complement of the stuck value).
+  /// Variable v is miter node v of build_atpg_circuit(net, fault).
+  sat::Cnf cnf;
+  /// Good-copy variable of each primary input, in Network::inputs() order;
+  /// sat::kNullVar for inputs outside the miter's support.
+  std::vector<sat::Var> input_vars;
+};
+
+/// Encodes C_psi^ATPG straight to clauses from one cone walk: the result
+/// equals sat::encode_circuit_sat(build_atpg_circuit(net, fault).miter)
+/// plus the excitation unit clause — same variable count, same clauses in
+/// the same order with the same literal order. Returns nullopt where
+/// build_atpg_circuit throws (no such node or pin, site reaches no output).
+/// Throws std::invalid_argument for a stem fault on a kOutput marker
+/// (no good net to excite) and, like encode_circuit_sat, for a wider than
+/// 2-input XOR/XNOR in the cone.
+///
+/// Thread-safe: yes; all scratch is allocated per call.
+std::optional<AtpgInstance> encode_atpg_instance(const net::Network& net,
+                                                 const StuckAtFault& fault);
 
 /// Lemma 4.2/4.3 ordering transfer: given an ordering `h` of the nodes of
 /// the original network C, produce the interleaved ordering h_psi of the

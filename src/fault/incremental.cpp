@@ -215,17 +215,31 @@ SharedMiterCnf::SharedMiterCnf(const net::Network& netw) {
   // without the pins, every decision drags the whole-circuit miter through
   // propagation and large low-conflict circuits lose to the per-fault flow
   // on propagation volume alone.
-  pinned_inputs_.assign(n, {});
+  //
+  // A node with exactly one fanout fo has fo's support set: TFO(v) is
+  // {v} ∪ TFO(fo) and TFI(v) ⊆ TFI(fo), so TFI(TFO(v)) = TFI(TFO(fo)).
+  // Fanouts have larger ids, so a walk in reverse id order lets every such
+  // node share its fanout's list; only the rest need a cone walk. Most
+  // nodes of tech-decomposed logic are single-fanout.
+  pinned_list_of_.assign(n, 0);
+  pinned_lists_.assign(1, {});  // list 0: the empty list of uncoded nodes
   {
+    std::vector<bool> has_list(n, false);
     std::vector<std::uint32_t> mark(n, 0);
     std::uint32_t epoch = 0;
     std::vector<net::NodeId> cone;
-    for (net::NodeId v = 0; v < n; ++v) {
+    for (net::NodeId v = static_cast<net::NodeId>(n); v-- > 0;) {
       const bool coded =
           stem_code_[v] != kNoCode ||
           std::any_of(branch_code_[v].begin(), branch_code_[v].end(),
                       [](std::uint32_t c) { return c != kNoCode; });
       if (!coded) continue;
+      has_list[v] = true;
+      const auto fanouts = netw.fanouts(v);
+      if (fanouts.size() == 1 && has_list[fanouts[0]]) {
+        pinned_list_of_[v] = pinned_list_of_[fanouts[0]];
+        continue;
+      }
       ++epoch;
       cone.clear();
       cone.push_back(v);
@@ -245,9 +259,10 @@ SharedMiterCnf::SharedMiterCnf(const net::Network& netw) {
             mark[fi] = epoch;
             cone.push_back(fi);
           }
+      std::vector<Var>& pinned = pinned_lists_.emplace_back();
       for (net::NodeId pi : netw.inputs())
-        if (mark[pi] != epoch)
-          pinned_inputs_[v].push_back(static_cast<Var>(pi));
+        if (mark[pi] != epoch) pinned.push_back(static_cast<Var>(pi));
+      pinned_list_of_[v] = static_cast<std::uint32_t>(pinned_lists_.size() - 1);
     }
   }
 
@@ -283,7 +298,7 @@ std::vector<sat::Lit> SharedMiterCnf::assumptions_for(
   assumptions.push_back(sat::Lit(excite_var_[code / 2], fault.stuck_value));
   // Cone restriction: pin every primary input outside the fault's support
   // cone to 0 (see the constructor) so the search is cone-local.
-  for (sat::Var pi : pinned_inputs_[fault.node])
+  for (sat::Var pi : pinned_inputs_of(fault.node))
     assumptions.push_back(sat::Lit(pi, true));
   return assumptions;
 }

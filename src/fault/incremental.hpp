@@ -101,7 +101,7 @@ class SharedMiterCnf {
   /// at `node`: those outside the fanin cone of `node`'s fanout cone.
   /// Empty for nodes without a select. Exposed for tests and diagnostics.
   const std::vector<sat::Var>& pinned_inputs_of(net::NodeId node) const {
-    return pinned_inputs_[node];
+    return pinned_lists_[pinned_list_of_[node]];
   }
 
   /// Good-copy variable per primary input, in Network::inputs() order —
@@ -125,8 +125,12 @@ class SharedMiterCnf {
   std::vector<sat::Var> excite_var_;
   std::vector<sat::Var> fid_bits_;
   std::vector<sat::Var> input_vars_;
-  /// Per node: the off-cone primary inputs a query rooted there pins to 0.
-  std::vector<std::vector<sat::Var>> pinned_inputs_;
+  /// The distinct off-cone input lists, [0] empty; a node with one fanout
+  /// shares its fanout's list (equal support sets).
+  std::vector<std::vector<sat::Var>> pinned_lists_;
+  /// Per node: index into pinned_lists_ of the inputs a query rooted there
+  /// pins to 0.
+  std::vector<std::uint32_t> pinned_list_of_;
 };
 
 /// One incremental solving session: a CDCL solver seeded from a (possibly

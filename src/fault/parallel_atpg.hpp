@@ -5,7 +5,7 @@
 // win left on the table is running many of them at once. This engine
 // shards the collapsed fault list across a work-stealing thread pool
 // (util/threadpool.hpp): every worker solves speculatively ahead of the
-// commit frontier with a private miter + CNF + CDCL solver, while the
+// commit frontier with a private CNF + CDCL solver, while the
 // pipeline thread commits outcomes strictly in collapsed-fault order and
 // runs simulation-based dropping exactly as the serial engine does. A test
 // found by one worker therefore still drops faults queued on the others:

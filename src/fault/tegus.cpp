@@ -7,7 +7,6 @@
 #include "fault/obs_hooks.hpp"
 #include "fault/podem.hpp"
 #include "obs/trace.hpp"
-#include "sat/encode.hpp"
 #include "util/budget.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -102,26 +101,17 @@ FaultOutcome generate_test(const net::Network& netw,
     }
   }
 
-  std::optional<AtpgCircuit> atpg_opt;
-  try {
-    atpg_opt.emplace(build_atpg_circuit(netw, fault));
-  } catch (const std::invalid_argument&) {
+  const std::optional<AtpgInstance> instance =
+      encode_atpg_instance(netw, fault);
+  if (!instance) {
     outcome.status = FaultStatus::kUnreachable;
     return outcome;
   }
-  AtpgCircuit& atpg = *atpg_opt;
-
-  sat::Cnf cnf = sat::encode_circuit_sat(atpg.miter);
-  // Excitation: the good value of the faulted net must differ from the
-  // stuck value. Implied by any satisfying assignment; stating it as a
-  // unit clause prunes the search (TEGUS does the same).
-  cnf.add_clause({sat::Lit(atpg.good_fault_net, fault.stuck_value)});
-
-  outcome.sat_vars = cnf.num_vars();
-  outcome.sat_clauses = cnf.num_clauses();
+  outcome.sat_vars = instance->cnf.num_vars();
+  outcome.sat_clauses = instance->cnf.num_clauses();
 
   Timer timer;
-  const sat::SolveResult result = sat::solve_cnf(cnf, solver_config);
+  const sat::SolveResult result = sat::solve_cnf(instance->cnf, solver_config);
   outcome.solve_seconds = timer.seconds();
   outcome.solver_stats = result.stats;
   outcome.engine = SolveEngine::kSat;
@@ -130,7 +120,10 @@ FaultOutcome generate_test(const net::Network& netw,
   switch (result.status) {
     case sat::SolveStatus::kSat:
       outcome.status = FaultStatus::kDetected;
-      test_out = extract_test(netw, atpg, result.model);
+      test_out.assign(instance->input_vars.size(), false);
+      for (std::size_t i = 0; i < test_out.size(); ++i)
+        if (instance->input_vars[i] != sat::kNullVar)
+          test_out[i] = result.model[instance->input_vars[i]];
       break;
     case sat::SolveStatus::kUnsat:
       outcome.status = FaultStatus::kUntestable;

@@ -1,10 +1,12 @@
 // SAT-based ATPG engine in the style of TEGUS (Stephan et al. [24]).
 //
 // Flow per circuit: collapse the fault list; optionally knock out the bulk
-// of the faults with random patterns; for each remaining fault, build
-// C_psi^ATPG (Figure 3), encode it as CIRCUIT-SAT (Figure 2), strengthen
-// with the excitation unit clause (the good value of the faulted net must
-// be the complement of the stuck value), and hand it to the CDCL solver.
+// of the faults with random patterns; for each remaining fault, encode
+// C_psi^ATPG (Figure 3) as CIRCUIT-SAT (Figure 2), strengthen with the
+// excitation unit clause (the good value of the faulted net must be the
+// complement of the stuck value), and hand it to the CDCL solver. The
+// encoding comes straight from one cone walk (encode_atpg_instance in
+// atpg_circuit.hpp); the per-fault path builds no miter Network.
 // Every generated test is verified by fault simulation and used to drop
 // still-undetected faults.
 //
@@ -68,7 +70,7 @@ const char* to_string(SolveEngine engine);
 /// per fault vs. incremental queries against one shared miter — and
 /// therefore the per-fault stats, test patterns and wall-clock.
 enum class AtpgEngine : std::uint8_t {
-  kPerFault,     ///< fresh miter + CNF + solver per fault (TEGUS proper)
+  kPerFault,     ///< fresh CNF + solver per fault (TEGUS proper)
   kIncremental,  ///< shared select-instrumented miter, assumption queries
 };
 
@@ -233,10 +235,16 @@ AtpgResult run_atpg(const net::Network& net, const AtpgOptions& options = {});
 /// Generates a test for a single fault (no dropping, no random phase).
 /// Returns the outcome plus, when detected, the pattern through `test_out`.
 ///
+/// The instance is encode_atpg_instance(net, fault): sat_vars/sat_clauses
+/// are its size, and solve_seconds times solver construction plus search
+/// (not the encoding). A fault whose site reaches no output, or that names
+/// no node or pin, is kUnreachable.
+///
 /// Thread-safe: yes; this is the per-fault kernel the parallel engine runs
-/// concurrently on pool workers. Each call builds a private miter, CNF and
-/// CDCL solver; the outcome is a pure function of (net, fault, solver), so
-/// concurrent and serial invocations return bit-identical results.
+/// concurrently on pool workers. Each call walks the cone and builds a
+/// private CNF and CDCL solver; the outcome is a pure function of (net,
+/// fault, solver), so concurrent and serial invocations return
+/// bit-identical results.
 FaultOutcome generate_test(const net::Network& net, const StuckAtFault& fault,
                            const sat::SolverConfig& solver, Pattern& test_out);
 

@@ -1,8 +1,12 @@
 #include "sat/encode.hpp"
 
 #include <stdexcept>
+#include <type_traits>
 
 namespace cwatpg::sat {
+
+// Node ids are used as variables directly (variable v == NodeId v).
+static_assert(std::is_same_v<net::NodeId, Var>);
 
 void add_gate_clauses(Cnf& cnf, net::GateType type, Var z,
                       std::span<const Var> ins) {
@@ -23,6 +27,7 @@ void add_gate_clauses(Cnf& cnf, net::GateType type, Var z,
       const Lit zt = type == GateType::kAnd ? pos(z) : neg(z);
       // Each input low forces output "false"; all inputs high force "true".
       Clause all;
+      all.reserve(ins.size() + 1);
       for (Var a : ins) {
         cnf.add_clause({pos(a), ~zt});
         all.push_back(neg(a));
@@ -35,6 +40,7 @@ void add_gate_clauses(Cnf& cnf, net::GateType type, Var z,
     case GateType::kNor: {
       const Lit zt = type == GateType::kOr ? pos(z) : neg(z);
       Clause all;
+      all.reserve(ins.size() + 1);
       for (Var a : ins) {
         cnf.add_clause({neg(a), zt});
         all.push_back(pos(a));
@@ -64,30 +70,30 @@ void add_gate_clauses(Cnf& cnf, net::GateType type, Var z,
   }
 }
 
+void add_node_clauses(Cnf& cnf, net::GateType type, Var z,
+                      std::span<const Var> fanins) {
+  switch (type) {
+    case net::GateType::kInput:
+      return;  // free variable
+    case net::GateType::kConst0:
+      cnf.add_clause({neg(z)});
+      return;
+    case net::GateType::kConst1:
+      cnf.add_clause({pos(z)});
+      return;
+    case net::GateType::kOutput:
+      add_gate_clauses(cnf, net::GateType::kBuf, z, fanins);
+      return;
+    default:
+      add_gate_clauses(cnf, type, z, fanins);
+      return;
+  }
+}
+
 Cnf encode_constraints(const net::Network& netw) {
   Cnf cnf(static_cast<Var>(netw.node_count()));
-  std::vector<Var> ins;
-  for (net::NodeId id = 0; id < netw.node_count(); ++id) {
-    const auto& n = netw.node(id);
-    switch (n.type) {
-      case net::GateType::kInput:
-        break;  // free variable
-      case net::GateType::kConst0:
-        cnf.add_clause({neg(id)});
-        break;
-      case net::GateType::kConst1:
-        cnf.add_clause({pos(id)});
-        break;
-      case net::GateType::kOutput:
-        add_gate_clauses(cnf, net::GateType::kBuf, id, {{n.fanins[0]}});
-        break;
-      default: {
-        ins.assign(n.fanins.begin(), n.fanins.end());
-        add_gate_clauses(cnf, n.type, id, ins);
-        break;
-      }
-    }
-  }
+  for (net::NodeId id = 0; id < netw.node_count(); ++id)
+    add_node_clauses(cnf, netw.type(id), id, netw.fanins(id));
   return cnf;
 }
 

@@ -19,6 +19,14 @@ namespace cwatpg::sat {
 void add_gate_clauses(Cnf& cnf, net::GateType type, Var z,
                       std::span<const Var> ins);
 
+/// Clauses for one network node of type `type` with variable `z`, exactly
+/// as encode_constraints emits them: none for a kInput, a unit clause for a
+/// constant, BUF equality with its one fanin for a kOutput marker, and
+/// add_gate_clauses for a logic gate. Lets encoders that number nodes
+/// themselves (fault/atpg_circuit.hpp) share the one node encoding.
+void add_node_clauses(Cnf& cnf, net::GateType type, Var z,
+                      std::span<const Var> fanins);
+
 /// Encodes CIRCUIT-SAT(C): all gate clauses, unit clauses for constants,
 /// equality clauses for kOutput markers, plus the clause (o1 ∨ … ∨ op).
 /// Throws std::invalid_argument if the circuit has no primary output.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <new>
 #include <stdexcept>
 
@@ -62,7 +63,6 @@ Var Solver::heap_pop() {
 
 Solver::Solver(const Cnf& cnf, SolverConfig config) : config_(config) {
   const Var n = cnf.num_vars();
-  watches_.resize(static_cast<std::size_t>(n) * 2);
   assign_.assign(n, kUndef);
   level_.assign(n, 0);
   reason_.assign(n, kNoReason);
@@ -74,10 +74,38 @@ Solver::Solver(const Cnf& cnf, SolverConfig config) : config_(config) {
   heap_.reserve(n);
   for (Var v = 0; v < n; ++v) heap_insert(v);
 
+  // Counting pass: the arena's size and each watch list's initial length
+  // (exact unless root units shorten a clause before it is attached).
+  std::size_t num_lits = 0;
+  std::vector<std::uint32_t> watch_count(static_cast<std::size_t>(n) * 2, 0);
+  for (const Clause& c : cnf.clauses()) {
+    num_lits += c.size();
+    if (c.size() < 2) continue;
+    ++watch_count[(~c[0]).code()];
+    ++watch_count[(~c[1]).code()];
+  }
+  lits_.reserve(num_lits);
+  clause_start_.reserve(cnf.num_clauses() + 1);
+  // Every watch list starts as a block of the watch arena sized to its
+  // count plus room for two watches moved in by propagation.
+  watches_.resize(watch_count.size());
+  std::size_t arena_size = 0;
+  for (std::size_t i = 0; i < watch_count.size(); ++i) {
+    if (watch_count[i] == 0) continue;
+    watches_[i].begin = static_cast<std::uint32_t>(arena_size);
+    watches_[i].cap = watch_count[i] + 2;
+    arena_size += watches_[i].cap;
+  }
+  if (arena_size > std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error("Solver: watch arena exceeds 2^32 entries");
+  watch_arena_.resize(arena_size);
+
   for (const Clause& c : cnf.clauses()) {
     // Strip root-falsified literals; drop root-satisfied clauses. (Units
-    // may already be on the trail from earlier clauses.)
-    Clause reduced;
+    // may already be on the trail from earlier clauses.) The reduced
+    // clause is written straight into the arena and withdrawn unless it
+    // has two or more literals.
+    const std::size_t begin = lits_.size();
     bool satisfied = false;
     for (Lit l : c) {
       const std::uint8_t v = value(l);
@@ -85,37 +113,66 @@ Solver::Solver(const Cnf& cnf, SolverConfig config) : config_(config) {
         satisfied = true;
         break;
       }
-      if (v == kUndef) reduced.push_back(l);
+      if (v == kUndef) lits_.push_back(l);
     }
-    if (satisfied) continue;
-    if (reduced.empty()) {
-      root_conflict_ = true;
-      return;
-    }
-    if (reduced.size() == 1) {
-      if (!enqueue(reduced[0], kNoReason) || propagate() != kNoReason) {
+    const std::size_t size = lits_.size() - begin;
+    if (satisfied || size < 2) {
+      const Lit unit = size == 1 ? lits_[begin] : Lit();
+      lits_.resize(begin);
+      if (satisfied) continue;
+      if (size == 0) {
+        root_conflict_ = true;
+        return;
+      }
+      if (!enqueue(unit, kNoReason) || propagate() != kNoReason) {
         root_conflict_ = true;
         return;
       }
       continue;
     }
-    add_internal_clause(std::move(reduced));
+    commit_clause();
   }
-  num_problem_clauses_ = clauses_.size();
-  query_begin_clauses_ = clauses_.size();
+  num_problem_clauses_ = num_clauses();
+  query_begin_clauses_ = num_clauses();
 }
 
-std::uint32_t Solver::add_internal_clause(Clause c) {
-  const auto index = static_cast<std::uint32_t>(clauses_.size());
-  clauses_.push_back(std::move(c));
+std::uint32_t Solver::commit_clause() {
+  if (lits_.size() > std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error("Solver: clause arena exceeds 2^32 literals");
+  const auto index = static_cast<std::uint32_t>(num_clauses());
+  clause_start_.push_back(static_cast<std::uint32_t>(lits_.size()));
   attach(index);
   return index;
 }
 
+std::uint32_t Solver::add_internal_clause(std::span<const Lit> c) {
+  lits_.insert(lits_.end(), c.begin(), c.end());
+  return commit_clause();
+}
+
 void Solver::attach(std::uint32_t clause_index) {
-  const Clause& c = clauses_[clause_index];
-  watches_[(~c[0]).code()].push_back({clause_index, c[1]});
-  watches_[(~c[1]).code()].push_back({clause_index, c[0]});
+  const std::span<const Lit> c = clause(clause_index);
+  watch((~c[0]).code(), {clause_index, c[1]});
+  watch((~c[1]).code(), {clause_index, c[0]});
+}
+
+void Solver::watch(std::uint32_t code, Watcher w) {
+  WatchList& list = watches_[code];
+  if (list.size == list.cap) {
+    // Move the list to a block twice its size at the arena's end; the old
+    // block is abandoned (a list's capacity only grows, so the arena stays
+    // within a small factor of the live watches).
+    const std::size_t begin = watch_arena_.size();
+    const std::uint32_t cap = std::max<std::uint32_t>(4, 2 * list.cap);
+    if (begin + cap > std::numeric_limits<std::uint32_t>::max())
+      throw std::length_error("Solver: watch arena exceeds 2^32 entries");
+    watch_arena_.resize(begin + cap);
+    std::copy_n(watch_arena_.begin() + list.begin, list.size,
+                watch_arena_.begin() + static_cast<std::ptrdiff_t>(begin));
+    list.begin = static_cast<std::uint32_t>(begin);
+    list.cap = cap;
+  }
+  watch_arena_[list.begin + list.size++] = w;
 }
 
 bool Solver::enqueue(Lit l, std::uint32_t reason) {
@@ -138,45 +195,49 @@ std::uint32_t Solver::propagate() {
   while (propagate_head_ < trail_.size()) {
     const Lit p = trail_[propagate_head_++];
     ++stats_.propagations;
-    auto& watch_list = watches_[p.code()];
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < watch_list.size(); ++i) {
-      const Watcher w = watch_list[i];
+    // p's own list never grows while it is scanned (a moved watch goes to
+    // a literal that is not false, and ~p is false), but another list's
+    // growth may reallocate the arena: `ws` is re-derived after each move.
+    WatchList& list = watches_[p.code()];
+    Watcher* ws = watch_arena_.data() + list.begin;
+    std::uint32_t keep = 0;
+    for (std::uint32_t i = 0; i < list.size; ++i) {
+      const Watcher w = ws[i];
       if (value(w.blocker) == kTrue) {
-        watch_list[keep++] = w;
+        ws[keep++] = w;
         continue;
       }
-      Clause& c = clauses_[w.clause];
+      const std::span<Lit> c = clause(w.clause);
       const Lit not_p = ~p;
       // Invariant: while a clause is some variable's reason, its implied
       // literal sits in slot 0 and is true, so this swap (which requires
       // c[0] false) never disturbs a locked reason clause.
       if (c[0] == not_p) std::swap(c[0], c[1]);
       if (value(c[0]) == kTrue) {
-        watch_list[keep++] = {w.clause, c[0]};
+        ws[keep++] = {w.clause, c[0]};
         continue;
       }
       bool moved = false;
       for (std::size_t k = 2; k < c.size(); ++k) {
         if (value(c[k]) != kFalse) {
           std::swap(c[1], c[k]);
-          watches_[(~c[1]).code()].push_back({w.clause, c[0]});
+          watch((~c[1]).code(), {w.clause, c[0]});
+          ws = watch_arena_.data() + list.begin;
           moved = true;
           break;
         }
       }
       if (moved) continue;
-      watch_list[keep++] = {w.clause, c[0]};
+      ws[keep++] = {w.clause, c[0]};
       if (value(c[0]) == kFalse) {
-        for (std::size_t j = i + 1; j < watch_list.size(); ++j)
-          watch_list[keep++] = watch_list[j];
-        watch_list.resize(keep);
+        for (std::uint32_t j = i + 1; j < list.size; ++j) ws[keep++] = ws[j];
+        list.size = keep;
         propagate_head_ = trail_.size();
         return w.clause;
       }
       enqueue(c[0], w.clause);
     }
-    watch_list.resize(keep);
+    list.size = keep;
   }
   return kNoReason;
 }
@@ -204,7 +265,7 @@ void Solver::analyze(std::uint32_t conflict, Clause& learnt,
   std::uint32_t clause_index = conflict;
 
   for (;;) {
-    const Clause& c = clauses_[clause_index];
+    const std::span<const Lit> c = clause(clause_index);
     // For reason clauses the implied literal is c[0] (see propagate);
     // skip it when expanding a reason.
     for (std::size_t k = (have_p ? 1 : 0); k < c.size(); ++k) {
@@ -236,7 +297,7 @@ void Solver::analyze(std::uint32_t conflict, Clause& learnt,
   auto redundant = [&](Lit q) {
     const std::uint32_t r = reason_[q.var()];
     if (r == kNoReason) return false;
-    for (Lit x : clauses_[r]) {
+    for (Lit x : clause(r)) {
       if (x.var() == q.var()) continue;
       if (level(x.var()) == 0 || seen_[x.var()]) continue;
       return false;
@@ -304,7 +365,7 @@ SolveStatus Solver::solve(std::span<const Lit> assumptions) {
   stats_.stop_reason = StopReason::kNone;
   // Per-call baselines: effort caps and query_stats() measure from here.
   query_base_ = stats_;
-  query_begin_clauses_ = clauses_.size();
+  query_begin_clauses_ = num_clauses();
   if (root_conflict_) return SolveStatus::kUnsat;
   for (Lit a : assumptions)
     if (a.var() >= assign_.size())

@@ -11,6 +11,16 @@
 // analysis, VSIDS-style decision activities, phase saving, Luby restarts.
 // No clause deletion (ATPG-SAT instances are small and easy; learnt sets
 // stay tiny).
+//
+// Storage: every clause lives in one flat literal arena, indexed by an
+// offset table (clause i is arena[start[i], start[i+1])); learnt clauses
+// are appended to the same arena. Watch lists are blocks of a second
+// arena; a full list moves to a block twice its size at that arena's end.
+// Construction makes one counting pass over the Cnf to size both arenas
+// and every watch list, then copies each clause's root-reduced literals
+// straight into the clause arena — no per-clause or per-literal vector.
+// Clauses and watch lists are named by index everywhere (watchers,
+// reasons), so both arenas may reallocate as the search goes on.
 #pragma once
 
 #include <cstdint>
@@ -161,12 +171,27 @@ class Solver {
     std::uint32_t clause = 0;
     Lit blocker;
   };
+  /// A literal's watchers: watch_arena_[begin, begin + size), with room
+  /// up to begin + cap.
+  struct WatchList {
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;
+    std::uint32_t cap = 0;
+  };
 
   std::uint8_t value(Lit l) const {
     const std::uint8_t v = assign_[l.var()];
     return v == kUndef ? kUndef : static_cast<std::uint8_t>(v ^ (l.negated() ? 1 : 0));
   }
   std::uint32_t level(Var v) const { return level_[v]; }
+
+  /// Literals of clause `index` in the arena. Invalidated when a clause is
+  /// appended (the arena may reallocate).
+  std::span<Lit> clause(std::uint32_t index) {
+    return {lits_.data() + clause_start_[index],
+            lits_.data() + clause_start_[index + 1]};
+  }
+  std::size_t num_clauses() const { return clause_start_.size() - 1; }
 
   bool enqueue(Lit l, std::uint32_t reason);
   std::uint32_t propagate();  // returns conflicting clause index or kNoReason
@@ -175,7 +200,13 @@ class Solver {
   void backtrack_to(std::uint32_t target_level);
   void bump(Var v);
   void attach(std::uint32_t clause_index);
-  std::uint32_t add_internal_clause(Clause c);
+  /// Appends `w` to the watch list of literal code `code`, moving the list
+  /// to the end of the arena when it is full.
+  void watch(std::uint32_t code, Watcher w);
+  /// Ends the clause whose literals were appended to the arena since the
+  /// last clause ended, and attaches its watches; returns its index.
+  std::uint32_t commit_clause();
+  std::uint32_t add_internal_clause(std::span<const Lit> c);
 
   // Indexed max-heap over activity_ for decision picking.
   void heap_swap(std::size_t a, std::size_t b);
@@ -186,8 +217,10 @@ class Solver {
   static constexpr std::size_t kNotInHeap = static_cast<std::size_t>(-1);
 
   SolverConfig config_;
-  std::vector<Clause> clauses_;
-  std::vector<std::vector<Watcher>> watches_;  // indexed by Lit::code()
+  std::vector<Lit> lits_;  // clause arena: problem clauses, then learnt
+  std::vector<std::uint32_t> clause_start_{0};  // arena offsets, + sentinel
+  std::vector<Watcher> watch_arena_;  // every literal's watch list
+  std::vector<WatchList> watches_;    // indexed by Lit::code()
   std::vector<std::uint8_t> assign_;
   std::vector<std::uint32_t> level_;
   std::vector<std::uint32_t> reason_;
@@ -208,7 +241,7 @@ class Solver {
   /// subtracts it, and the conflict/propagation caps compare against the
   /// delta so every call gets a full budget of its own.
   SolverStats query_base_;
-  /// clauses_.size() after construction / at the current solve()'s entry.
+  /// num_clauses() after construction / at the current solve()'s entry.
   /// A propagation whose reason index lies in [num_problem_clauses_,
   /// query_begin_clauses_) was driven by a clause learnt on an earlier
   /// call — that is the reused_implications counting rule.

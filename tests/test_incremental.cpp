@@ -14,6 +14,7 @@
 #include "gen/structured.hpp"
 #include "gen/suites.hpp"
 #include "gen/trees.hpp"
+#include "netlist/cone.hpp"
 #include "netlist/decompose.hpp"
 #include "obs/metrics.hpp"
 #include "sat/encode.hpp"
@@ -236,6 +237,54 @@ TEST(SharedMiter, ConeRestrictionPinsOffConeInputs) {
       EXPECT_TRUE(detects(n, f, test)) << to_string(n, f);
     } else {
       EXPECT_EQ(inc, sat::SolveStatus::kUnsat) << to_string(n, f);
+    }
+  }
+}
+
+/// The off-cone inputs of `node` by a cone walk of its own: primary inputs
+/// outside TFI(TFO(node)), in Network::inputs() order.
+std::vector<sat::Var> walked_pinned_inputs(const net::Network& n,
+                                           net::NodeId node) {
+  const std::vector<bool> tfo = net::transitive_fanout(n, node);
+  std::vector<net::NodeId> seeds;
+  for (net::NodeId id = 0; id < n.node_count(); ++id)
+    if (tfo[id]) seeds.push_back(id);
+  const std::vector<bool> support = net::transitive_fanin(n, seeds);
+  std::vector<sat::Var> pinned;
+  for (net::NodeId pi : n.inputs())
+    if (!support[pi]) pinned.push_back(static_cast<sat::Var>(pi));
+  return pinned;
+}
+
+TEST(SharedMiter, SharedPinnedInputListsEqualPerNodeWalk) {
+  // Single-fanout nodes share their fanout's list; every list must still
+  // equal a walk of the node's own support cone, and nodes without a
+  // select get none.
+  std::vector<net::Network> circuits;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    gen::HuttonParams p;
+    p.num_gates = 150;
+    p.num_inputs = 16;
+    p.num_outputs = 8;
+    p.locality = seed % 2 == 0 ? 0.9 : 0.5;
+    p.seed = seed;
+    circuits.push_back(gen::hutton_random(p));
+  }
+  gen::SuiteOptions suite_opts;
+  suite_opts.scale = 0.08;
+  for (net::Network& n : gen::iscas85_like_suite(suite_opts))
+    circuits.push_back(std::move(n));
+  for (const net::Network& n : circuits) {
+    SCOPED_TRACE(n.name());
+    const SharedMiterCnf encoding(n);
+    for (net::NodeId v = 0; v < n.node_count(); ++v) {
+      bool coded = encoding.covers({v, StuckAtFault::kStem, false});
+      for (std::size_t p = 0; p < n.fanins(v).size(); ++p)
+        coded = coded ||
+                encoding.covers({v, static_cast<std::int32_t>(p), false});
+      const std::vector<sat::Var> expected =
+          coded ? walked_pinned_inputs(n, v) : std::vector<sat::Var>{};
+      EXPECT_EQ(encoding.pinned_inputs_of(v), expected) << "node " << v;
     }
   }
 }

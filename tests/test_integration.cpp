@@ -10,6 +10,7 @@
 #include "gen/structured.hpp"
 #include "gen/suites.hpp"
 #include "gen/trees.hpp"
+#include "netlist/cone.hpp"
 #include "netlist/decompose.hpp"
 #include "sat/cache_sat.hpp"
 #include "sat/encode.hpp"

@@ -1,0 +1,148 @@
+// Golden per-circuit digests of the ATPG search.
+//
+// Each digest folds, for every fault of a run_atpg result: status, engine,
+// SAT instance shape (sat_vars, sat_clauses), search effort (decisions,
+// propagations, conflicts, learnt clauses) and the attributed test bits.
+// Variable numbering, clause order, literal order and watch order all
+// reach these digests, while the engines' unit tests mostly check only
+// verdicts. A refactor of the per-fault encoding or of sat::Solver that
+// claims to keep the search must leave every digest unchanged; a digest
+// that moves because the search was changed on purpose is re-recorded in
+// the same change, with the reason stated.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
+#include "fault/tegus.hpp"
+#include "gen/hutton.hpp"
+#include "gen/structured.hpp"
+#include "netlist/decompose.hpp"
+
+namespace cwatpg::fault {
+namespace {
+
+/// FNV-1a over 64-bit words.
+class Digest {
+ public:
+  void add(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (word >> (8 * i)) & 0xffu;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t digest_of(const AtpgResult& result) {
+  Digest d;
+  d.add(result.outcomes.size());
+  for (const FaultOutcome& o : result.outcomes) {
+    d.add(static_cast<std::uint64_t>(o.status));
+    d.add(static_cast<std::uint64_t>(o.engine));
+    d.add(o.sat_vars);
+    d.add(o.sat_clauses);
+    d.add(o.solver_stats.decisions);
+    d.add(o.solver_stats.propagations);
+    d.add(o.solver_stats.conflicts);
+    d.add(o.solver_stats.learnt_clauses);
+    if (!o.has_test()) {
+      d.add(~0ULL);
+      continue;
+    }
+    const Pattern& test = result.tests[o.test()];
+    d.add(test.size());
+    for (const bool bit : test) d.add(bit ? 1 : 0);
+  }
+  return d.value();
+}
+
+/// Effort totals, printed beside a mismatching digest.
+std::string effort_of(const AtpgResult& result) {
+  sat::SolverStats total;
+  std::size_t instances = 0;
+  for (const FaultOutcome& o : result.outcomes) {
+    total += o.solver_stats;
+    if (o.engine != SolveEngine::kNone) ++instances;
+  }
+  return std::to_string(result.outcomes.size()) + " faults, " +
+         std::to_string(instances) + " instances, " +
+         std::to_string(total.conflicts) + " conflicts, " +
+         std::to_string(total.propagations) + " propagations";
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// Every collapsed fault gets its own SAT instance (no random phase, no
+/// dropping), so every instance's shape and effort enter the digest.
+AtpgOptions per_fault_options() {
+  AtpgOptions options;
+  options.random_blocks = 0;
+  options.drop_by_simulation = false;
+  return options;
+}
+
+AtpgOptions incremental_options() {
+  AtpgOptions options;
+  options.random_blocks = 0;
+  options.engine = AtpgEngine::kIncremental;
+  return options;
+}
+
+net::Network hutton_member() {
+  gen::HuttonParams params;
+  params.num_gates = 160;
+  params.num_inputs = 20;
+  params.num_outputs = 10;
+  params.locality = 0.5;
+  params.unbounded_reconvergence = true;
+  params.seed = 5;
+  return gen::hutton_random(params);
+}
+
+struct Golden {
+  const char* name;
+  net::Network (*make)();
+  std::uint64_t per_fault;
+  std::uint64_t incremental;
+};
+
+const Golden kGoldens[] = {
+    {"hutton160", hutton_member, 0x9962ef05bcf136c5ULL, 0xa844c6cfff72a489ULL},
+    {"rca8", [] { return gen::ripple_carry_adder(8); }, 0x7cc91f947d70b289ULL,
+     0xb3c70c0e6fadd87dULL},
+    {"ecc8", [] { return net::decompose(gen::hamming_ecc(8)); },
+     0x3618cb9028593becULL, 0x4b227e736a39a811ULL},
+    {"xor_ecc16", [] { return gen::hamming_ecc(16); }, 0x5b4168e427c38016ULL,
+     0xe687a5bdffe39446ULL},
+};
+
+TEST(SearchGolden, PerFaultDigestsMatchRecorded) {
+  for (const Golden& g : kGoldens) {
+    const net::Network n = g.make();
+    const AtpgResult r = run_atpg(n, per_fault_options());
+    EXPECT_EQ(hex(digest_of(r)), hex(g.per_fault))
+        << g.name << ": " << effort_of(r);
+  }
+}
+
+TEST(SearchGolden, IncrementalDigestsMatchRecorded) {
+  for (const Golden& g : kGoldens) {
+    const net::Network n = g.make();
+    const AtpgResult r = run_atpg(n, incremental_options());
+    EXPECT_EQ(hex(digest_of(r)), hex(g.incremental))
+        << g.name << ": " << effort_of(r);
+  }
+}
+
+}  // namespace
+}  // namespace cwatpg::fault
