@@ -4,15 +4,19 @@
 // every hop on a byte-level duplex (real cwatpg.rpc/1 frame encode/decode
 // on both sides, the same bytes the spawned-process topology ships over
 // pipes) — and runs the same ATPG jobs on the two largest ISCAS85-like
-// suite members at each worker count. Reports per-count wall-clock,
-// speedup over the 1-worker cluster, shard/redispatch counters, and
-// verifies the merged classification is IDENTICAL across worker counts
+// suite members at each worker count, and once directly through
+// fault::run_atpg in this process with the same options. Reports
+// per-count wall-clock, speedup over the 1-worker cluster and over the
+// direct run, shard/redispatch counters, and verifies the merged
+// classification is IDENTICAL across worker counts and to the direct run
 // (the cluster's determinism contract; a mismatch fails the bench).
 //
 //   --scale=F     suite scale (default 0.25 keeps the smoke run quick)
 //   --seed=S      ATPG seed forwarded to every job
 //   --json=FILE   canonical bench report; extra.configs carries the
-//                 per-worker-count wall/speedup/shards/redispatched rows
+//                 per-worker-count wall/speedup/speedup_vs_direct/shards/
+//                 redispatched/merge_solves rows, extra.direct_wall_seconds
+//                 the direct run's wall clock
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -22,12 +26,15 @@
 
 #include "bench_common.hpp"
 #include "bench_report.hpp"
+#include "fault/tegus.hpp"
 #include "gen/suites.hpp"
 #include "netlist/bench_io.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
 #include "svc/cluster.hpp"
+#include "svc/params.hpp"
 #include "svc/proto.hpp"
+#include "svc/registry.hpp"
 #include "svc/server.hpp"
 #include "svc/transport.hpp"
 #include "util/table.hpp"
@@ -46,11 +53,65 @@ obs::Json request_json(std::uint64_t id, const char* kind, obs::Json params) {
   return j;
 }
 
+/// Classification signature of one job: totals + the test set, dumped.
+std::string signature(const std::string& circuit, std::uint64_t detected,
+                      std::uint64_t untestable, std::uint64_t aborted,
+                      std::uint64_t undetermined, obs::Json tests) {
+  obs::Json sig = obs::Json::object();
+  sig["circuit"] = circuit;
+  sig["num_detected"] = detected;
+  sig["num_untestable"] = untestable;
+  sig["num_aborted"] = aborted;
+  sig["num_undetermined"] = undetermined;
+  sig["tests"] = std::move(tests);
+  return sig.dump();
+}
+
+struct DirectResult {
+  double wall_seconds = 0.0;
+  std::vector<std::string> signatures;
+};
+
+/// Runs every circuit once through fault::run_atpg, serially, with the
+/// options a worker derives from the same job: the circuit is parsed back
+/// from its bench text and mapped by the shared params → options function,
+/// exactly as a svc::Server does. Only the runs are timed.
+DirectResult run_direct(const std::vector<net::Network>& circuits,
+                        std::uint64_t seed) {
+  DirectResult out;
+  svc::CircuitRegistry registry(std::size_t(256) << 20);
+  std::vector<std::shared_ptr<const svc::CircuitEntry>> entries;
+  for (const net::Network& n : circuits) {
+    std::ostringstream text;
+    net::write_bench(text, n);
+    entries.push_back(registry.load_bench(text.str(), n.name()));
+  }
+  obs::Json params = obs::Json::object();
+  params["seed"] = seed;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const svc::CircuitEntry* entry = entries[i].get();
+    const fault::AtpgOptions opts =
+        svc::atpg_options_from_params(params, *entry);
+    Timer wall;
+    const fault::AtpgResult result = fault::run_atpg(entry->net, opts);
+    out.wall_seconds += wall.seconds();
+    obs::Json tests = obs::Json::array();
+    for (const fault::Pattern& test : result.tests)
+      tests.push_back(svc::encode_bits(test));
+    out.signatures.push_back(
+        signature(circuits[i].name(), result.num_detected,
+                  result.num_untestable, result.num_aborted,
+                  result.num_undetermined, std::move(tests)));
+  }
+  return out;
+}
+
 struct ConfigResult {
   std::size_t workers = 0;
   double wall_seconds = 0.0;
   std::uint64_t shards = 0;
   std::uint64_t redispatched = 0;
+  std::uint64_t merge_solves = 0;  ///< faults the merges solved themselves
   /// Classification signature per circuit: totals + the test set, dumped;
   /// must be identical across worker counts.
   std::vector<std::string> signatures;
@@ -113,16 +174,14 @@ ConfigResult run_config(std::size_t workers,
       throw std::runtime_error("run_atpg failed: " + resp.dump());
     const obs::Json& result = resp.at("result");
 
-    obs::Json sig = obs::Json::object();
-    sig["circuit"] = n.name();
-    sig["num_detected"] = result.at("num_detected").as_u64();
-    sig["num_untestable"] = result.at("num_untestable").as_u64();
-    sig["num_aborted"] = result.at("num_aborted").as_u64();
-    sig["num_undetermined"] = result.at("num_undetermined").as_u64();
-    sig["tests"] = result.at("tests");
-    out.signatures.push_back(sig.dump());
+    out.signatures.push_back(signature(
+        n.name(), result.at("num_detected").as_u64(),
+        result.at("num_untestable").as_u64(),
+        result.at("num_aborted").as_u64(),
+        result.at("num_undetermined").as_u64(), result.at("tests")));
     out.shards += result.at("cluster").at("shards").as_u64();
     out.redispatched += result.at("cluster").at("redispatched").as_u64();
+    out.merge_solves += result.at("cluster").at("merge_solves").as_u64();
     out.reports.push_back(
         obs::RunReport::from_json(result.at("run_report")));
   }
@@ -165,6 +224,8 @@ int main(int argc, char** argv) {
     std::cout << "circuit " << n.name() << ": " << n.gate_count()
               << " gates, " << n.inputs().size() << " inputs\n";
 
+  std::cout << "\nrunning direct (fault::run_atpg, one process)...\n";
+  const DirectResult direct = run_direct(suite, args.seed);
   std::vector<ConfigResult> configs;
   for (const std::size_t workers : {std::size_t(1), std::size_t(2),
                                     std::size_t(4)}) {
@@ -172,8 +233,10 @@ int main(int argc, char** argv) {
     configs.push_back(run_config(workers, suite, args.seed));
   }
 
-  // Determinism gate: identical classification at every worker count.
+  // Determinism gate: identical classification at every worker count, and
+  // identical to the direct run.
   bool identical = true;
+  bool identical_to_direct = true;
   for (const ConfigResult& c : configs) {
     for (std::size_t i = 0; i < c.signatures.size(); ++i) {
       if (c.signatures[i] != configs[0].signatures[i]) {
@@ -181,19 +244,34 @@ int main(int argc, char** argv) {
         std::cerr << "MISMATCH: " << c.workers << "-worker result for "
                   << suite[i].name() << " differs from 1-worker result\n";
       }
+      if (c.signatures[i] != direct.signatures[i]) {
+        identical_to_direct = false;
+        std::cerr << "MISMATCH: " << c.workers << "-worker result for "
+                  << suite[i].name() << " differs from the direct run\n";
+      }
     }
   }
 
-  Table table({"workers", "wall s", "speedup", "shards", "redispatched"});
+  Table table({"workers", "wall s", "speedup", "vs direct", "shards",
+               "redispatched", "merge solves"});
   const double base = configs[0].wall_seconds;
+  const auto speedup = [](double from, double to) {
+    return from / std::max(to, 1e-9);
+  };
+  table.add_row(
+      {"direct", cell(direct.wall_seconds, 3), "", "1.00", "", "", ""});
   for (const ConfigResult& c : configs)
     table.add_row({cell(c.workers), cell(c.wall_seconds, 3),
-                   cell(base / std::max(c.wall_seconds, 1e-9), 2),
-                   cell(c.shards), cell(c.redispatched)});
+                   cell(speedup(base, c.wall_seconds), 2),
+                   cell(speedup(direct.wall_seconds, c.wall_seconds), 2),
+                   cell(c.shards), cell(c.redispatched),
+                   cell(c.merge_solves)});
   table.print(std::cout);
   std::cout << "classification identical across worker counts: "
-            << (identical ? "yes" : "NO") << "\n";
-  if (!identical) return 1;
+            << (identical ? "yes" : "NO") << "\n"
+            << "classification identical to the direct run: "
+            << (identical_to_direct ? "yes" : "NO") << "\n";
+  if (!identical || !identical_to_direct) return 1;
 
   obs::Json extra = obs::Json::object();
   obs::Json rows = obs::Json::array();
@@ -202,14 +280,18 @@ int main(int argc, char** argv) {
     obs::Json row = obs::Json::object();
     row["workers"] = static_cast<std::uint64_t>(c.workers);
     row["wall_seconds"] = c.wall_seconds;
-    row["speedup"] = base / std::max(c.wall_seconds, 1e-9);
+    row["speedup"] = speedup(base, c.wall_seconds);
+    row["speedup_vs_direct"] = speedup(direct.wall_seconds, c.wall_seconds);
     row["shards"] = c.shards;
     row["redispatched"] = c.redispatched;
+    row["merge_solves"] = c.merge_solves;
     rows.push_back(std::move(row));
     for (const obs::RunReport& r : c.reports) reports.push_back(r);
   }
   extra["configs"] = std::move(rows);
   extra["classification_identical"] = identical;
+  extra["identical_to_direct"] = identical_to_direct;
+  extra["direct_wall_seconds"] = direct.wall_seconds;
   if (!bench::emit_report("bench_cluster_scaling", args, reports,
                           std::move(extra)))
     return 1;

@@ -158,12 +158,15 @@ struct AtpgOptions {
   /// run is responsible for, strictly increasing. Empty = all faults (the
   /// default, and byte-identical to the pre-window behavior). Faults
   /// outside the window are never simulated, solved or escalated and stay
-  /// kUndetermined; in-window faults classify exactly as they would in a
-  /// full run with drop_by_simulation matching (random-phase drops and
-  /// per-fault solves are window-independent — this is what lets the
-  /// cluster coordinator shard a job by fault position and still merge a
-  /// single-node-identical result). An out-of-range or non-increasing
-  /// index throws std::invalid_argument.
+  /// kUndetermined. Random-phase drops and each solved fault's outcome are
+  /// window-independent. With drop_by_simulation a window drops only by
+  /// its own tests, so which faults end kDroppedBySim, and so which get
+  /// solved, depends on the window; the records are still a pure function
+  /// of (net, options, window). That is what lets the cluster coordinator
+  /// shard a job by fault position and still merge a single-node-identical
+  /// result: its replay solves the rare fault a window dropped but the
+  /// full run reaches. An out-of-range or non-increasing index throws
+  /// std::invalid_argument.
   std::vector<std::size_t> fault_subset;
 
   /// Phase-2 solve engine. kPerFault is the default (and the paper's

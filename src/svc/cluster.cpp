@@ -5,6 +5,7 @@
 #include <exception>
 #include <new>
 #include <optional>
+#include <set>
 #include <span>
 #include <utility>
 
@@ -50,37 +51,88 @@ bool is_escalated(const fault::FaultOutcome& o) {
 /// serial TEGUS pipeline. The pipeline keeps ALL its own bookkeeping —
 /// random-phase drops, work-list order, drop-by-simulation, test
 /// commitment and verification, escalation accounting — so the merged
-/// result is the single-node result by construction; this provider merely
+/// result is the single-node result by construction; this provider mostly
 /// substitutes a map lookup for a SAT solve.
+///
+/// Workers drop by simulation inside their own window, so a record may be
+/// kDroppedBySim by a test the global order never commits (its source
+/// fault was itself dropped by an earlier window's test). solve() is only
+/// asked for faults the global replay has not dropped, so such a record
+/// is solved here, in-process, exactly as a worker would have solved it;
+/// if that solve aborts, escalate() defers to the built-in ladder. Once
+/// the job's budget has fired such a record counts as missing: the replay
+/// stops there and no new SAT work runs at merge.
+///
+/// An escalated record holds only the fault's final outcome, so solve()
+/// hands the pipeline a stand-in main-pass abort that escalate() later
+/// replaces. A stand-in that escalate() never replaces (a global ladder
+/// test dropped the fault first, or the replay stopped) is restored to the
+/// real main-pass abort by restore_main_passes().
 class ReplayProvider final : public fault::detail::SolveProvider {
  public:
-  ReplayProvider(const std::map<std::size_t, WireFaultOutcome>& records,
-                 Budget& replay_budget,
-                 std::span<const fault::StuckAtFault> faults)
-      : records_(records), budget_(replay_budget), faults_(faults) {}
+  ReplayProvider(const net::Network& net,
+                 const std::map<std::size_t, WireFaultOutcome>& records,
+                 Budget& replay_budget, const Budget& job_budget,
+                 std::span<const fault::StuckAtFault> faults,
+                 const sat::SolverConfig& solve_config)
+      : net_(net),
+        records_(records),
+        budget_(replay_budget),
+        job_budget_(job_budget),
+        faults_(faults),
+        solve_config_(solve_config) {}
+
+  /// Faults this merge had to solve itself, restored stand-ins included.
+  std::uint64_t merge_solves() const { return merge_solves_; }
+
+  /// Replaces every stand-in left in `result` with the fault's main-pass
+  /// abort, keeping the status and test the pipeline gave it. The abort
+  /// hit the conflict cap (only such a fault is escalated), so re-solving
+  /// it without the job budget is bounded and returns the worker's outcome.
+  void restore_main_passes(fault::AtpgResult& result) {
+    sat::SolverConfig capped = solve_config_;
+    capped.budget = nullptr;
+    for (const std::size_t fi : stand_ins_) {
+      fault::FaultOutcome& outcome = result.outcomes[fi];
+      fault::Pattern unused;
+      fault::FaultOutcome main =
+          fault::generate_test(net_, faults_[fi], capped, unused);
+      main.status = outcome.status;
+      main.test_index = outcome.test_index;
+      outcome = main;
+      ++merge_solves_;
+    }
+    stand_ins_.clear();
+  }
 
   fault::FaultOutcome solve(std::size_t fault_index,
                             fault::Pattern& test_out) override {
+    const auto it = records_.find(fault_index);
+    // No record: the shard owning this fault never completed (cancelled or
+    // deadline-fired job).
+    if (it == records_.end()) return interrupt(fault_index);
+    const fault::FaultOutcome& rec = it->second.outcome;
+    if (rec.status == fault::FaultStatus::kDroppedBySim) {
+      if (job_budget_.exhausted()) return interrupt(fault_index);
+      ++merge_solves_;
+      fault::FaultOutcome solved = fault::generate_test(
+          net_, faults_[fault_index], solve_config_, test_out);
+      // A budget that fired mid-solve made the outcome an artifact of the
+      // cutoff, not the fault's classification.
+      if (job_budget_.exhausted()) return interrupt(fault_index);
+      if (solved.status == fault::FaultStatus::kAborted)
+        aborted_[fault_index] = solved;
+      return solved;
+    }
     fault::FaultOutcome o;
     o.fault = faults_[fault_index];
-    const auto it = records_.find(fault_index);
-    if (it == records_.end()) {
-      // No record: the shard owning this fault never completed (cancelled
-      // or deadline-fired job). Fire the replay budget so the pipeline
-      // stops exactly where an interrupted single-node run would; the
-      // untouched kUndetermined outcome is what that run leaves behind.
-      budget_.cancel();
-      return o;
-    }
-    const fault::FaultOutcome& rec = it->second.outcome;
     if (is_escalated(rec)) {
       // The record is the fault's FINAL post-escalation outcome; the main
-      // pass must observe the abort that routed it into phase 3. These
-      // synthetic fields never reach the merged result — escalate() below
-      // replaces the outcome wholesale with the recorded final.
+      // pass must observe the abort that routed it into phase 3.
       o.status = fault::FaultStatus::kAborted;
       o.engine = fault::SolveEngine::kSat;
       o.attempts = 1;
+      stand_ins_.insert(fault_index);
       return o;
     }
     o = rec;
@@ -92,6 +144,16 @@ class ReplayProvider final : public fault::detail::SolveProvider {
 
   std::optional<fault::FaultOutcome> escalate(
       std::size_t fault_index, fault::Pattern& test_out) override {
+    stand_ins_.erase(fault_index);
+    if (const auto solved = aborted_.find(fault_index);
+        solved != aborted_.end()) {
+      // Aborted by this merge's own solve: the built-in ladder takes it,
+      // unless the budget fired, in which case the abort stands as an
+      // interrupted run leaves it.
+      if (!job_budget_.exhausted()) return std::nullopt;
+      budget_.cancel();
+      return solved->second;
+    }
     const auto it = records_.find(fault_index);
     if (it == records_.end()) {
       // Unreachable when solve() ran first (a missing record interrupts
@@ -112,9 +174,27 @@ class ReplayProvider final : public fault::detail::SolveProvider {
   }
 
  private:
+  /// Fires the replay budget so the pipeline stops exactly where an
+  /// interrupted single-node run would; the untouched kUndetermined
+  /// outcome is what that run leaves behind.
+  fault::FaultOutcome interrupt(std::size_t fault_index) {
+    budget_.cancel();
+    fault::FaultOutcome o;
+    o.fault = faults_[fault_index];
+    return o;
+  }
+
+  const net::Network& net_;
   const std::map<std::size_t, WireFaultOutcome>& records_;
   Budget& budget_;
+  const Budget& job_budget_;
   std::span<const fault::StuckAtFault> faults_;
+  sat::SolverConfig solve_config_;
+  /// Main-pass aborts of the faults solved here, by fault index.
+  std::map<std::size_t, fault::FaultOutcome> aborted_;
+  /// Faults holding a stand-in main-pass abort, ascending.
+  std::set<std::size_t> stand_ins_;
+  std::uint64_t merge_solves_ = 0;
 };
 
 }  // namespace
@@ -373,6 +453,7 @@ obs::Json Cluster::cluster_status_json() {
     j["heartbeat_failures"] = stats_.heartbeat_failures;
     j["poison_windows"] = stats_.poison_windows;
     j["inprocess_faults"] = stats_.inprocess_faults;
+    j["merge_solves"] = stats_.merge_solves;
     j["jobs_completed"] = stats_.jobs_completed;
     j["jobs_failed"] = stats_.jobs_failed;
     j["active_jobs"] = static_cast<std::uint64_t>(active_jobs_);
@@ -818,10 +899,10 @@ bool Cluster::run_shard(WorkerState& w, Client& client, Shard& shard) {
       range.push_back(static_cast<std::uint64_t>(shard.lo));
       range.push_back(static_cast<std::uint64_t>(shard.hi));
       params["fault_range"] = std::move(range);
-      // Workers solve their windows speculatively and report raw per-
-      // fault records; the coordinator's replay re-applies dropping.
+      // Workers run the job's own policy over their window, dropping by
+      // simulation only with the window's own tests, and report raw per-
+      // fault records; the coordinator's replay re-applies global dropping.
       params["raw_outcomes"] = true;
-      params["drop_by_simulation"] = false;
       params["threads"] = std::uint64_t(1);
     }
     double deadline = 0.0;
@@ -1194,7 +1275,6 @@ void Cluster::run_window_inprocess(const std::shared_ptr<JobContext>& job,
     range.push_back(static_cast<std::uint64_t>(hi));
     params["fault_range"] = std::move(range);
     params["raw_outcomes"] = true;
-    params["drop_by_simulation"] = false;
     params["threads"] = std::uint64_t(1);
     fault::AtpgOptions opts = atpg_options_from_params(params, *job->circuit);
     // The job's own budget: cancellation and the deadline propagate into
@@ -1325,20 +1405,32 @@ void Cluster::finish_sharded_job(const std::shared_ptr<JobContext>& job) {
 obs::Json Cluster::merge_records(JobContext& job) {
   const CircuitEntry& circuit = *job.circuit;
   // Replay the exact single-node pipeline over the recorded outcomes: the
-  // same params → options mapping the workers used, the ORIGINAL
+  // same params → options mapping the workers used, the same
   // drop_by_simulation policy, and a private budget the ReplayProvider
   // fires when a record is missing (cancelled/deadline'd job), so a
   // partial merge is shaped exactly like an interrupted single-node run.
+  // Merge-time solves run under the job's own deadline and cancellation,
+  // as the worker's solve would have.
   fault::AtpgOptions opts = atpg_options_from_params(job.params, circuit);
+  opts.budget = &job.budget;
+  const sat::SolverConfig solve_config =
+      fault::detail::per_fault_solver_config(opts);
   Budget replay_budget;
   opts.budget = &replay_budget;
-  ReplayProvider provider(job.records, replay_budget, circuit.faults);
+  ReplayProvider provider(circuit.net, job.records, replay_budget, job.budget,
+                          circuit.faults, solve_config);
   const auto simulate = [&circuit](std::span<const fault::StuckAtFault> fs,
                                    std::span<const fault::Pattern> ps) {
     return fault::fault_simulate(circuit.net, fs, ps);
   };
   fault::AtpgResult result =
       fault::detail::run_atpg_pipeline(circuit.net, opts, provider, simulate);
+  provider.restore_main_passes(result);
+  // A replay that stopped at its last work-list entry never re-checks the
+  // budget; it is interrupted all the same.
+  result.interrupted = result.interrupted || replay_budget.cancelled();
+  const std::uint64_t merge_solves = provider.merge_solves();
+  metrics_.counter("cluster.merge.inprocess_solves").add(merge_solves);
 
   obs::ReportOptions ropts;
   ropts.label = "cluster/" + circuit.key;
@@ -1399,6 +1491,8 @@ obs::Json Cluster::merge_records(JobContext& job) {
     }
     cluster["poison_windows"] = std::move(poison);
     cluster["inprocess_faults"] = job.inprocess_faults;
+    cluster["merge_solves"] = merge_solves;
+    stats_.merge_solves += merge_solves;
     j["cluster"] = std::move(cluster);
   }
   j["registry"] = registry_.stats().to_json();

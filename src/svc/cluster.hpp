@@ -8,21 +8,24 @@
 //
 //   admit ─▶ shard the collapsed fault-id space into contiguous
 //            [k·S, (k+1)·S) windows ─▶ dispatch windows to workers
-//            (`fault_range` + `raw_outcomes`, drop_by_simulation off so
-//            every window solves independently) ─▶ ingest per-fault
-//            records ─▶ REPLAY the single-node pipeline over the records
-//            ─▶ one terminal response.
+//            (`fault_range` + `raw_outcomes`; each window drops by
+//            simulation with its own tests when the job does) ─▶ ingest
+//            per-fault records ─▶ REPLAY the single-node pipeline over
+//            the records ─▶ one terminal response.
 //
 // Determinism argument (see ARCHITECTURE.md): per-fault classification is
 // a pure function of (circuit, fault, solver options) and random-phase
 // drops are per-fault independent, so workers can solve any window
-// speculatively. The coordinator then re-runs the exact serial TEGUS
+// speculatively, and a window's records are a pure function of (circuit,
+// options, window). The coordinator then re-runs the exact serial TEGUS
 // pipeline — same seed, same work-list order, same drop-by-simulation and
 // escalation bookkeeping — with a SolveProvider that returns recorded
-// outcomes instead of invoking a solver. Which worker solved what, and in
-// which order replies arrived, cannot leak into the result: the merged
-// classification, test set and test attribution are identical to a
-// single-node run by construction.
+// outcomes instead of invoking a solver. The rare fault the global order
+// reaches but its window dropped (the dropping test was never committed
+// globally) is solved by the merge itself, in-process. Which worker solved
+// what, and in which order replies arrived, cannot leak into the result:
+// the merged classification, test set and test attribution are identical
+// to a single-node run by construction.
 //
 // Failover and supervision: a worker that dies or wedges (heartbeats — a
 // bounded `status` probe on idle workers — turn a wedge into the same
@@ -111,7 +114,11 @@ struct ClusterStats {
   std::uint64_t respawns = 0;      ///< successful worker respawns
   std::uint64_t heartbeat_failures = 0;
   std::uint64_t poison_windows = 0;   ///< windows executed in-process
-  std::uint64_t inprocess_faults = 0; ///< faults solved by the coordinator
+  std::uint64_t inprocess_faults = 0; ///< poison-window faults run here
+  /// Faults the merge solved itself: a worker dropped them with a test
+  /// of its own window that the global order never committed, or their
+  /// escalated record lacks the main-pass abort the merged result keeps.
+  std::uint64_t merge_solves = 0;
   std::uint64_t jobs_completed = 0;
   std::uint64_t jobs_failed = 0;
 };

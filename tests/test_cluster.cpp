@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "gen/hutton.hpp"
 #include "gen/structured.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/decompose.hpp"
@@ -254,6 +255,103 @@ TEST(Cluster, ShardSizeDoesNotChangeTheResult) {
     ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump();
     expect_same_classification(single, resp.at("result"));
   }
+}
+
+// ---- window-local dropping and merge-time solves --------------------------
+
+/// A seeded random circuit on which windows drop faults by tests that the
+/// global order discards; the tiny test circuits above never do.
+net::Network hutton_circuit(std::uint64_t seed) {
+  gen::HuttonParams hp;
+  hp.num_gates = 120;
+  hp.num_inputs = 12;
+  hp.num_outputs = 6;
+  hp.seed = seed;
+  return gen::hutton_random(hp);
+}
+
+/// atpg_params without the conflict cap: no fault aborts.
+obs::Json uncapped_params(const std::string& key) {
+  obs::Json params = obs::Json::object();
+  params["circuit"] = key;
+  params["seed"] = std::uint64_t(7);
+  params["random_blocks"] = std::uint64_t(1);
+  params["raw_outcomes"] = true;
+  return params;
+}
+
+TEST(Cluster, FaultDroppedOnlyInItsWindowIsSolvedAtMerge) {
+  // On this circuit and shard size one window drops a fault with a test
+  // whose source fault the global order drops earlier, so the replay
+  // reaches the fault and has no solve for it: the merge solves it
+  // in-process, and the result is still the single-node one.
+  const net::Network n = hutton_circuit(2);
+  const obs::Json single = single_node_result(n, uncapped_params(""));
+  ClusterOptions options;
+  options.shard_size = 8;
+  ClusterFixture fx(2, options);
+  obs::Json resp = fx.client.call("run_atpg", uncapped_params(fx.load(n)));
+  ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump();
+  const obs::Json& result = resp.at("result");
+  expect_same_classification(single, result);
+  EXPECT_EQ(result.at("cluster").at("merge_solves").as_u64(), 1u);
+  EXPECT_EQ(result.at("cluster").at("inprocess_faults").as_u64(), 0u);
+  EXPECT_EQ(fx.cluster->stats().merge_solves, 1u);
+  EXPECT_EQ(fx.client.call("status").at("result").at("merge_solves").as_u64(),
+            1u);
+}
+
+TEST(Cluster, WindowDroppedAbortTakesTheLadderAtMerge) {
+  // With a tiny conflict cap, fault 174 aborts in the main pass. Its
+  // window [168, 176) drops it with a test the window's own escalation
+  // ladder found, so no worker record holds its escalation; globally that
+  // test is never committed, so the merge solves the fault, sees the
+  // abort, and runs the escalation ladder in-process. The same cap makes
+  // global ladder tests drop faults whose records are escalated, so the
+  // identity check also covers their restored main-pass aborts.
+  const net::Network n = hutton_circuit(11);
+  const obs::Json single = single_node_result(n, atpg_params(""));
+  ASSERT_EQ(single.at("raw")[174].at("en").as_string(), "sat-retry");
+  obs::Json window_params = atpg_params("");
+  obs::Json range = obs::Json::array();
+  range.push_back(std::uint64_t(168));
+  range.push_back(std::uint64_t(176));
+  window_params["fault_range"] = std::move(range);
+  const obs::Json window = single_node_result(n, window_params);
+  bool window_dropped = false;
+  for (const obs::Json& rec : window.at("raw").items())
+    if (rec.at("i").as_u64() == 174)
+      window_dropped = rec.at("st").as_string() == "dropped-sim";
+  ASSERT_TRUE(window_dropped) << window.at("raw").dump();
+
+  ClusterOptions options;
+  options.shard_size = 8;
+  ClusterFixture fx(2, options);
+  obs::Json resp = fx.client.call("run_atpg", atpg_params(fx.load(n)));
+  ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump();
+  const obs::Json& result = resp.at("result");
+  expect_same_classification(single, result);
+  EXPECT_GE(result.at("cluster").at("merge_solves").as_u64(), 1u);
+}
+
+TEST(Cluster, NoDropJobsKeepTheirPolicyAndNeedNoMergeSolves) {
+  // The same circuit and shard size as the residual-path test, with the
+  // client's drop_by_simulation=false: windows drop nothing, so the merge
+  // finds a solved record for every fault it reaches (a window that
+  // dropped would leave the replay, which reaches every fault, to solve).
+  const net::Network n = hutton_circuit(2);
+  obs::Json params = uncapped_params("");
+  params["drop_by_simulation"] = false;
+  const obs::Json single = single_node_result(n, params);
+  ClusterOptions options;
+  options.shard_size = 8;
+  ClusterFixture fx(2, options);
+  params["circuit"] = fx.load(n);
+  obs::Json resp = fx.client.call("run_atpg", std::move(params));
+  ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump();
+  const obs::Json& result = resp.at("result");
+  expect_same_classification(single, result);
+  EXPECT_EQ(result.at("cluster").at("merge_solves").as_u64(), 0u);
 }
 
 // ---- failover -------------------------------------------------------------
