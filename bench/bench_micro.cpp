@@ -63,6 +63,25 @@ void BM_AtpgSingleFault(benchmark::State& state) {
 }
 BENCHMARK(BM_AtpgSingleFault)->Arg(200)->Arg(1000);
 
+// The per-fault engine's inner loop: generate_test over every collapsed
+// fault of the circuit with one reused SatWorkspace, as a serial run_atpg
+// does after its random phase (no dropping).
+void BM_PerFaultLoop(benchmark::State& state) {
+  const net::Network n = test_circuit(static_cast<std::size_t>(state.range(0)));
+  const auto faults = fault::collapsed_fault_list(n);
+  fault::SatWorkspace workspace;
+  fault::Pattern test;
+  for (auto _ : state) {
+    for (const fault::StuckAtFault& f : faults) {
+      const auto outcome = fault::generate_test(n, f, {}, workspace, test);
+      benchmark::DoNotOptimize(outcome.status);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(faults.size()));
+}
+BENCHMARK(BM_PerFaultLoop)->Arg(200)->Arg(1000);
+
 // Solver construction alone over the whole-circuit shared-miter CNF — the
 // incremental engine's per-session setup cost.
 void BM_SolverConstruct(benchmark::State& state) {

@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
     double podem_seconds = 0, sat_seconds = 0;
     fault::PodemOptions podem_opts;
     podem_opts.max_backtracks = 20'000;
+    fault::SatWorkspace workspace;
 
     for (std::size_t i = 0; i < faults.size(); i += args.stride) {
       ++total;
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
       timer.reset();
       fault::Pattern test;
       const fault::FaultOutcome sat_based =
-          fault::generate_test(n, faults[i], {}, test);
+          fault::generate_test(n, faults[i], {}, workspace, test);
       sat_seconds += timer.seconds();
 
       backtracks.push_back(static_cast<double>(structural.backtracks));

@@ -65,12 +65,13 @@ int main(int argc, char** argv) {
   for (const net::Network& n : gen::iscas85_like_suite(opts)) {
     const fault::Scoap scoap = fault::compute_scoap(n);
     const auto faults = fault::collapsed_fault_list(n);
+    fault::SatWorkspace workspace;
     for (std::size_t i = 0; i < faults.size(); i += args.stride) {
       const std::uint32_t cost = scoap.detect_cost(n, faults[i]);
       if (cost == fault::Scoap::kUnreachable) continue;
       fault::Pattern test;
       const fault::FaultOutcome outcome =
-          fault::generate_test(n, faults[i], {}, test);
+          fault::generate_test(n, faults[i], {}, workspace, test);
       if (outcome.sat_vars == 0) continue;
       try {
         const net::SubCircuit cone =

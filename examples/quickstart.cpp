@@ -31,8 +31,9 @@ int main() {
   const fault::StuckAtFault psi{*circuit.find("11"),
                                 fault::StuckAtFault::kStem, true};
   fault::Pattern test;
+  fault::SatWorkspace workspace;
   const fault::FaultOutcome outcome =
-      fault::generate_test(circuit, psi, {}, test);
+      fault::generate_test(circuit, psi, {}, workspace, test);
 
   std::cout << "fault " << fault::to_string(circuit, psi) << ": ";
   switch (outcome.status) {

@@ -18,7 +18,8 @@ enum class Role : std::uint8_t {
 };
 
 /// The one definition of C_psi^ATPG: the cone walk from the fault root and
-/// the numbering of the miter's nodes. All scratch is per call.
+/// the numbering of the miter's nodes. All scratch lives in a MiterScratch
+/// that may be reused from walk to walk.
 class MiterWalk {
  public:
   enum class Error : std::uint8_t {
@@ -28,9 +29,24 @@ class MiterWalk {
     kUnobservable,
   };
 
-  MiterWalk(const net::Network& netw, const StuckAtFault& fault)
-      : netw_(netw), fault_(fault), root_(fault_cone_root(fault)) {
+  MiterWalk(const net::Network& netw, const StuckAtFault& fault,
+            MiterScratch& scratch)
+      : netw_(netw),
+        fault_(fault),
+        root_(fault_cone_root(fault)),
+        mark_(scratch.mark),
+        cone_(scratch.cone),
+        good_of_(scratch.good_of),
+        faulty_of_(scratch.faulty_of),
+        fis_(scratch.fanins) {
     const std::size_t n = netw.node_count();
+    // Only the previous walk's cone is marked: clear just those marks.
+    if (mark_.size() != n) {
+      mark_.assign(n, 0);
+    } else {
+      for (const net::NodeId v : cone_) mark_[v] = 0;
+    }
+    cone_.clear();
     if (fault.node >= n) {
       error_ = Error::kNoSuchNode;
       return;
@@ -43,7 +59,6 @@ class MiterWalk {
     }
     // The fanout cone of the root (a DFS over fanouts), then its fanin
     // closure: C_psi^sub = TFI(TFO(root)), as net::fault_cone defines it.
-    mark_.assign(n, 0);
     mark_[root_] = kTfo | kCone;
     cone_.push_back(root_);
     bool observed = netw.type(root_) == net::GateType::kOutput;
@@ -98,7 +113,7 @@ class MiterWalk {
   template <class Visit>
   void number(Visit&& visit) {
     net::NodeId next = 0;
-    std::vector<net::NodeId> fis;
+    std::vector<net::NodeId>& fis = fis_;
     for (net::NodeId src : cone_) {
       const net::GateType type = netw_.type(src);
       if (type == net::GateType::kOutput) continue;  // observed POs: XORs
@@ -172,17 +187,19 @@ class MiterWalk {
   const StuckAtFault fault_;
   const net::NodeId root_;
   Error error_ = Error::kNone;
-  std::vector<std::uint8_t> mark_;     ///< per source node: kTfo | kCone
-  std::vector<net::NodeId> cone_;      ///< cone nodes, ascending
-  std::vector<net::NodeId> good_of_;   ///< source -> good-copy miter id
-  std::vector<net::NodeId> faulty_of_; ///< source -> faulty-copy miter id
+  std::vector<std::uint8_t>& mark_;     ///< per source node: kTfo | kCone
+  std::vector<net::NodeId>& cone_;      ///< cone nodes, ascending
+  std::vector<net::NodeId>& good_of_;   ///< source -> good-copy miter id
+  std::vector<net::NodeId>& faulty_of_; ///< source -> faulty-copy miter id
+  std::vector<net::NodeId>& fis_;       ///< number(): one node's fanins
 };
 
 }  // namespace
 
 AtpgCircuit build_atpg_circuit(const net::Network& netw,
                                const StuckAtFault& fault) {
-  MiterWalk walk(netw, fault);
+  MiterScratch scratch;
+  MiterWalk walk(netw, fault, scratch);
   switch (walk.error()) {
     case MiterWalk::Error::kNone:
       break;
@@ -246,14 +263,15 @@ AtpgCircuit build_atpg_circuit(const net::Network& netw,
   return atpg;
 }
 
-std::optional<AtpgInstance> encode_atpg_instance(const net::Network& netw,
-                                                 const StuckAtFault& fault) {
-  MiterWalk walk(netw, fault);
-  if (walk.error() != MiterWalk::Error::kNone) return std::nullopt;
+bool encode_atpg_instance(const net::Network& netw, const StuckAtFault& fault,
+                          MiterScratch& scratch, AtpgInstance& out) {
+  MiterWalk walk(netw, fault, scratch);
+  if (walk.error() != MiterWalk::Error::kNone) return false;
 
-  AtpgInstance instance;
-  sat::Cnf& cnf = instance.cnf;
-  sat::Clause objective;
+  sat::Cnf& cnf = out.cnf;
+  cnf.reset();
+  sat::Clause& objective = scratch.objective;
+  objective.clear();
   walk.number([&](net::NodeId id, Role role, net::GateType type,
                   net::NodeId /*src*/, std::span<const net::NodeId> fanins) {
     cnf.grow_to(id);
@@ -263,7 +281,7 @@ std::optional<AtpgInstance> encode_atpg_instance(const net::Network& netw,
   // CIRCUIT-SAT's output clause, then the excitation unit: the good value
   // of the faulted net must differ from the stuck value. Implied by any
   // satisfying assignment; stating it prunes the search (as TEGUS does).
-  cnf.add_clause(std::move(objective));
+  cnf.add_clause(objective);
   const net::NodeId excite = walk.good_fault_net();
   if (excite == net::kNullNode)
     throw std::invalid_argument(
@@ -271,10 +289,18 @@ std::optional<AtpgInstance> encode_atpg_instance(const net::Network& netw,
         "good net to excite");
   cnf.add_clause({sat::Lit(excite, fault.stuck_value)});
 
-  instance.input_vars.reserve(netw.inputs().size());
+  out.input_vars.clear();
   for (net::NodeId pi : netw.inputs())
-    instance.input_vars.push_back(walk.in_cone(pi) ? walk.good(pi)
-                                                   : sat::kNullVar);
+    out.input_vars.push_back(walk.in_cone(pi) ? walk.good(pi) : sat::kNullVar);
+  return true;
+}
+
+std::optional<AtpgInstance> encode_atpg_instance(const net::Network& netw,
+                                                 const StuckAtFault& fault) {
+  MiterScratch scratch;
+  AtpgInstance instance;
+  if (!encode_atpg_instance(netw, fault, scratch, instance))
+    return std::nullopt;
   return instance;
 }
 

@@ -27,6 +27,7 @@
 // excitation unit clause.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -83,16 +84,35 @@ struct AtpgInstance {
   std::vector<sat::Var> input_vars;
 };
 
-/// Encodes C_psi^ATPG straight to clauses from one cone walk: the result
-/// equals sat::encode_circuit_sat(build_atpg_circuit(net, fault).miter)
-/// plus the excitation unit clause — same variable count, same clauses in
-/// the same order with the same literal order. Returns nullopt where
-/// build_atpg_circuit throws (no such node or pin, site reaches no output).
-/// Throws std::invalid_argument for a stem fault on a kOutput marker
-/// (no good net to excite) and, like encode_circuit_sat, for a wider than
-/// 2-input XOR/XNOR in the cone.
+/// Scratch of the cone walk that numbers C_psi^ATPG: per-source marks, the
+/// cone, the copy maps. Its contents belong to the walk; reusing one across
+/// walks (on any networks) only saves their allocation. Only the previous
+/// walk's cone is marked, so a warm walk costs O(cone), not O(network).
+struct MiterScratch {
+  std::vector<std::uint8_t> mark;
+  std::vector<net::NodeId> cone;
+  std::vector<net::NodeId> good_of;
+  std::vector<net::NodeId> faulty_of;
+  std::vector<net::NodeId> fanins;
+  sat::Clause objective;
+};
+
+/// Encodes C_psi^ATPG straight to clauses from one cone walk into `out`,
+/// reusing its storage and that of `scratch`: out.cnf equals
+/// sat::encode_circuit_sat(build_atpg_circuit(net, fault).miter) plus the
+/// excitation unit clause — same variable count, same clauses in the same
+/// order with the same literal order. Returns false where
+/// build_atpg_circuit throws (no such node or pin, site reaches no output);
+/// `out` is then unspecified. Throws std::invalid_argument for a stem
+/// fault on a kOutput marker (no good net to excite) and, like
+/// encode_circuit_sat, for a wider than 2-input XOR/XNOR in the cone.
 ///
-/// Thread-safe: yes; all scratch is allocated per call.
+/// Thread-safe: yes for distinct `scratch` and `out`; reads `net` only.
+bool encode_atpg_instance(const net::Network& net, const StuckAtFault& fault,
+                          MiterScratch& scratch, AtpgInstance& out);
+
+/// One-shot form of the above with private storage; nullopt where it
+/// returns false.
 std::optional<AtpgInstance> encode_atpg_instance(const net::Network& net,
                                                  const StuckAtFault& fault);
 

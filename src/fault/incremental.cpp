@@ -135,19 +135,21 @@ SharedMiterCnf::SharedMiterCnf(const net::Network& netw) {
 
   // Faulty functional clauses, guarded by (s0 ∨ s1) where stem selects
   // exist (a selected stem overrides the gate function).
+  sat::Clause guarded;
   auto add_guarded = [&](net::NodeId v, const sat::Cnf& gate_clauses) {
-    for (const sat::Clause& c : gate_clauses.clauses()) {
-      sat::Clause guarded = c;
+    for (const std::span<const sat::Lit> c : gate_clauses.clauses()) {
+      guarded.assign(c.begin(), c.end());
       if (select0[v] != sat::kNullVar) {
         guarded.push_back(sat::pos(select0[v]));
         guarded.push_back(sat::pos(select1[v]));
       }
-      cnf.add_clause(std::move(guarded));
+      cnf.add_clause(guarded);
     }
   };
+  sat::Cnf local;  // one node's gate clauses
   for (net::NodeId v = 0; v < n; ++v) {
     const auto& node = netw.node(v);
-    sat::Cnf local(cnf.num_vars());
+    local.reset(cnf.num_vars());
     switch (node.type) {
       case GateType::kInput:
         sat::add_gate_clauses(local, GateType::kBuf, faulty[v],

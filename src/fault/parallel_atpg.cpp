@@ -40,11 +40,13 @@ struct Slot {
 class SpeculativeProvider final : public detail::SolveProvider {
  public:
   SpeculativeProvider(ThreadPool& pool, const sat::SolverConfig& config,
-                      std::size_t window, ParallelStats& stats)
+                      std::size_t window, ParallelStats& stats,
+                      std::vector<SatWorkspace>& workspaces)
       : pool_(pool),
         config_(config),
         window_(window == 0 ? 1 : window),
-        stats_(stats) {}
+        stats_(stats),
+        workspaces_(workspaces) {}
 
   void begin(const net::Network& netw, std::span<const StuckAtFault> faults,
              std::span<const std::size_t> work_list,
@@ -100,18 +102,22 @@ class SpeculativeProvider final : public detail::SolveProvider {
       const net::Network* netw = netw_;
       const sat::SolverConfig config = config_;
       ParallelStats* stats = &stats_;
-      pool_.submit([slot, fault, netw, config, stats] {
+      std::vector<SatWorkspace>* workspaces = &workspaces_;
+      pool_.submit([slot, fault, netw, config, stats, workspaces] {
         FaultOutcome outcome;
         Pattern test;
         std::exception_ptr error;
+        // Workspaces and worker stats are indexed by pool worker id; each
+        // entry is only ever touched by its own worker, so no lock is
+        // needed.
+        const std::size_t w = ThreadPool::worker_index();
+        assert(w < workspaces->size() && "submitted tasks run on workers");
         try {
-          outcome = generate_test(*netw, fault, config, test);
+          outcome =
+              generate_test(*netw, fault, config, (*workspaces)[w], test);
         } catch (...) {
           error = std::current_exception();
         }
-        // Worker stats are indexed by pool worker id; each entry is only
-        // ever touched by its own worker, so no lock is needed.
-        const std::size_t w = ThreadPool::worker_index();
         if (w != ThreadPool::kNotAWorker && w < stats->workers.size()) {
           WorkerStats& ws = stats->workers[w];
           ++ws.solved;
@@ -132,6 +138,7 @@ class SpeculativeProvider final : public detail::SolveProvider {
   sat::SolverConfig config_;
   std::size_t window_;
   ParallelStats& stats_;
+  std::vector<SatWorkspace>& workspaces_;
 
   const net::Network* netw_ = nullptr;
   std::span<const StuckAtFault> faults_;
@@ -146,10 +153,11 @@ class SpeculativeProvider final : public detail::SolveProvider {
 AtpgResult run_atpg_parallel(const net::Network& netw,
                              const ParallelAtpgOptions& options,
                              ParallelStats* stats_out) {
-  // `stats` is declared before `pool` deliberately: if the pipeline throws,
-  // in-flight worker tasks still write into `stats`, so the pool (whose
-  // destructor drains and joins them) must be destroyed first.
+  // `stats` and `workspaces` are declared before `pool` deliberately: if
+  // the pipeline throws, in-flight worker tasks still use them, so the
+  // pool (whose destructor drains and joins them) must be destroyed first.
   ParallelStats stats;
+  std::vector<SatWorkspace> workspaces;  // one per pool worker
   ThreadPool pool(options.num_threads, split_seed(options.base.seed, 1));
   stats.workers.resize(pool.size());
 
@@ -206,9 +214,11 @@ AtpgResult run_atpg_parallel(const net::Network& netw,
     // kUnknown; queued-but-unstarted ones fast-fail before building a miter.
     // That is how cancellation propagates — the pool itself is never torn
     // down mid-task, so the committed prefix stays deterministic.
+    workspaces.resize(pool.size());
     SpeculativeProvider provider(pool,
                                  detail::per_fault_solver_config(options.base),
-                                 options.lookahead * pool.size(), stats);
+                                 options.lookahead * pool.size(), stats,
+                                 workspaces);
     result = detail::run_atpg_pipeline(netw, options.base, provider, simulate);
     pool.wait_idle();  // drain discarded speculative solves before reporting
   }

@@ -60,6 +60,7 @@ RedundancyResult remove_redundancy(const net::Network& netw,
   result.circuit = netw;
   result.gates_before = netw.gate_count();
 
+  SatWorkspace workspace;
   for (std::size_t round = 0; round < options.max_rounds; ++round) {
     ++result.rounds;
     bool changed = false;
@@ -67,7 +68,7 @@ RedundancyResult remove_redundancy(const net::Network& netw,
     for (const StuckAtFault& fault : faults) {
       Pattern test;
       const FaultOutcome outcome =
-          generate_test(result.circuit, fault, options.solver, test);
+          generate_test(result.circuit, fault, options.solver, workspace, test);
       if (outcome.status == FaultStatus::kUntestable ||
           outcome.status == FaultStatus::kUnreachable) {
         // Unreachable sites are dead logic; wiring them through lets the

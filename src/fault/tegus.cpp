@@ -86,7 +86,7 @@ Pattern extract_test(const net::Network& netw, const AtpgCircuit& atpg,
 FaultOutcome generate_test(const net::Network& netw,
                            const StuckAtFault& fault,
                            const sat::SolverConfig& solver_config,
-                           Pattern& test_out) {
+                           SatWorkspace& workspace, Pattern& test_out) {
   FaultOutcome outcome;
   outcome.fault = fault;
 
@@ -101,29 +101,30 @@ FaultOutcome generate_test(const net::Network& netw,
     }
   }
 
-  const std::optional<AtpgInstance> instance =
-      encode_atpg_instance(netw, fault);
-  if (!instance) {
+  AtpgInstance& instance = workspace.instance;
+  if (!encode_atpg_instance(netw, fault, workspace.walk, instance)) {
     outcome.status = FaultStatus::kUnreachable;
     return outcome;
   }
-  outcome.sat_vars = instance->cnf.num_vars();
-  outcome.sat_clauses = instance->cnf.num_clauses();
+  outcome.sat_vars = instance.cnf.num_vars();
+  outcome.sat_clauses = instance.cnf.num_clauses();
 
   Timer timer;
-  const sat::SolveResult result = sat::solve_cnf(instance->cnf, solver_config);
+  sat::Solver& solver = workspace.solver;
+  solver.reset(instance.cnf, solver_config);
+  const sat::SolveStatus status = solver.solve();
   outcome.solve_seconds = timer.seconds();
-  outcome.solver_stats = result.stats;
+  outcome.solver_stats = solver.stats();
   outcome.engine = SolveEngine::kSat;
   outcome.attempts = 1;
 
-  switch (result.status) {
+  switch (status) {
     case sat::SolveStatus::kSat:
       outcome.status = FaultStatus::kDetected;
-      test_out.assign(instance->input_vars.size(), false);
+      test_out.assign(instance.input_vars.size(), false);
       for (std::size_t i = 0; i < test_out.size(); ++i)
-        if (instance->input_vars[i] != sat::kNullVar)
-          test_out[i] = result.model[instance->input_vars[i]];
+        if (instance.input_vars[i] != sat::kNullVar)
+          test_out[i] = solver.model()[instance.input_vars[i]];
       break;
     case sat::SolveStatus::kUnsat:
       outcome.status = FaultStatus::kUntestable;
@@ -133,6 +134,14 @@ FaultOutcome generate_test(const net::Network& netw,
       break;
   }
   return outcome;
+}
+
+FaultOutcome generate_test(const net::Network& netw,
+                           const StuckAtFault& fault,
+                           const sat::SolverConfig& solver_config,
+                           Pattern& test_out) {
+  SatWorkspace workspace;
+  return generate_test(netw, fault, solver_config, workspace, test_out);
 }
 
 namespace {
@@ -206,6 +215,7 @@ void escalate_aborted(const net::Network& netw, const AtpgOptions& options,
   for (std::size_t i = 0; i < result.outcomes.size(); ++i)
     if (result.outcomes[i].status == FaultStatus::kAborted)
       aborted.push_back(i);
+  SatWorkspace workspace;  // the ladder's SAT rounds, on this thread
 
   for (std::size_t a = 0; a < aborted.size(); ++a) {
     const std::size_t fi = aborted[a];
@@ -236,7 +246,8 @@ void escalate_aborted(const net::Network& netw, const AtpgOptions& options,
         cap = saturating_mul(cap, options.escalation_growth);
         sat::SolverConfig config = detail::per_fault_solver_config(options);
         config.max_conflicts = cap;
-        FaultOutcome retry = generate_test(netw, faults[fi], config, test);
+        FaultOutcome retry =
+            generate_test(netw, faults[fi], config, workspace, test);
         retry.engine = SolveEngine::kSatRetry;
         retry.attempts = outcome.attempts + 1;
         outcome = retry;
@@ -524,11 +535,13 @@ class SerialProvider final : public detail::SolveProvider {
   }
 
   FaultOutcome solve(std::size_t fault_index, Pattern& test_out) override {
-    return generate_test(*netw_, faults_[fault_index], config_, test_out);
+    return generate_test(*netw_, faults_[fault_index], config_, workspace_,
+                         test_out);
   }
 
  private:
   sat::SolverConfig config_;
+  SatWorkspace workspace_;
   const net::Network* netw_ = nullptr;
   std::span<const StuckAtFault> faults_;
 };

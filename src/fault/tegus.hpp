@@ -6,7 +6,8 @@
 // excitation unit clause (the good value of the faulted net must be the
 // complement of the stuck value), and hand it to the CDCL solver. The
 // encoding comes straight from one cone walk (encode_atpg_instance in
-// atpg_circuit.hpp); the per-fault path builds no miter Network.
+// atpg_circuit.hpp); the per-fault path builds no miter Network, and each
+// solving context reuses one SatWorkspace for every fault it solves.
 // Every generated test is verified by fault simulation and used to drop
 // still-undetected faults.
 //
@@ -235,19 +236,36 @@ struct AtpgResult {
 /// list see fault/parallel_atpg.hpp, which produces byte-identical results.
 AtpgResult run_atpg(const net::Network& net, const AtpgOptions& options = {});
 
+/// One solving context's reusable SAT state: the cone walk's scratch, the
+/// flat CNF it fills and a solver re-armed for each fault. generate_test
+/// keeps every vector's capacity, so a warm workspace allocates only when
+/// an instance outgrows all earlier ones. There is one per serial run, per
+/// pool worker of a parallel run and per cluster merge, freed with the
+/// job; a workspace is never used by two threads at once.
+struct SatWorkspace {
+  MiterScratch walk;
+  AtpgInstance instance;
+  sat::Solver solver;
+};
+
 /// Generates a test for a single fault (no dropping, no random phase).
 /// Returns the outcome plus, when detected, the pattern through `test_out`.
 ///
 /// The instance is encode_atpg_instance(net, fault): sat_vars/sat_clauses
-/// are its size, and solve_seconds times solver construction plus search
+/// are its size, and solve_seconds times re-arming the solver plus search
 /// (not the encoding). A fault whose site reaches no output, or that names
 /// no node or pin, is kUnreachable.
 ///
-/// Thread-safe: yes; this is the per-fault kernel the parallel engine runs
-/// concurrently on pool workers. Each call walks the cone and builds a
-/// private CNF and CDCL solver; the outcome is a pure function of (net,
-/// fault, solver), so concurrent and serial invocations return
-/// bit-identical results.
+/// Thread-safe: yes for distinct workspaces; this is the per-fault kernel
+/// the parallel engine runs concurrently on pool workers, each with its
+/// own. The outcome is a pure function of (net, fault, solver) — what the
+/// workspace held before never shows — so concurrent and serial
+/// invocations return bit-identical results.
+FaultOutcome generate_test(const net::Network& net, const StuckAtFault& fault,
+                           const sat::SolverConfig& solver,
+                           SatWorkspace& workspace, Pattern& test_out);
+
+/// One-shot form: the same outcome from a workspace private to this call.
 FaultOutcome generate_test(const net::Network& net, const StuckAtFault& fault,
                            const sat::SolverConfig& solver, Pattern& test_out);
 

@@ -8,7 +8,7 @@
 namespace cwatpg::sat {
 
 bool is_horn(const Cnf& f) {
-  for (const Clause& c : f.clauses()) {
+  for (const std::span<const Lit> c : f.clauses()) {
     std::size_t positives = 0;
     for (Lit l : c)
       if (!l.negated()) ++positives;
@@ -18,7 +18,7 @@ bool is_horn(const Cnf& f) {
 }
 
 bool is_reverse_horn(const Cnf& f) {
-  for (const Clause& c : f.clauses()) {
+  for (const std::span<const Lit> c : f.clauses()) {
     std::size_t negatives = 0;
     for (Lit l : c)
       if (l.negated()) ++negatives;
@@ -41,7 +41,7 @@ std::optional<std::vector<bool>> hidden_horn_renaming(const Cnf& f) {
     // renaming.
     return l.negated() ? pos(l.var()) : neg(l.var());
   };
-  for (const Clause& c : f.clauses()) {
+  for (const std::span<const Lit> c : f.clauses()) {
     for (std::size_t i = 0; i < c.size(); ++i)
       for (std::size_t j = i + 1; j < c.size(); ++j) {
         if (c[i].var() == c[j].var()) continue;
@@ -59,7 +59,7 @@ QHorn q_horn(const Cnf& f, std::size_t max_vars) {
   std::vector<double> b;
   a.reserve(f.num_clauses());
   b.reserve(f.num_clauses());
-  for (const Clause& c : f.clauses()) {
+  for (const std::span<const Lit> c : f.clauses()) {
     std::vector<double> row(n, 0.0);
     double rhs = 1.0;
     for (Lit l : c) {

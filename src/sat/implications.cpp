@@ -28,7 +28,7 @@ bool unit_propagate(const Cnf& f, std::span<const Lit> assumptions,
   bool changed = true;
   while (changed) {
     changed = false;
-    for (const Clause& c : f.clauses()) {
+    for (const std::span<const Lit> c : f.clauses()) {
       Lit unassigned;
       std::size_t free_count = 0;
       bool satisfied = false;
@@ -62,7 +62,7 @@ Cnf add_static_implications(const Cnf& f, ImplicationStats* stats_out,
 
   // Existing binary clauses, for the skip_direct filter.
   std::set<std::pair<std::uint32_t, std::uint32_t>> binaries;
-  for (const Clause& c : f.clauses()) {
+  for (const std::span<const Lit> c : f.clauses()) {
     if (c.size() == 2)
       binaries.insert({std::min(c[0].code(), c[1].code()),
                        std::max(c[0].code(), c[1].code())});

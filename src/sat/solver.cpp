@@ -61,46 +61,61 @@ Var Solver::heap_pop() {
 
 // ---------------------------------------------------------------------------
 
-Solver::Solver(const Cnf& cnf, SolverConfig config) : config_(config) {
+void Solver::reset(const Cnf& cnf, SolverConfig config) {
+  config_ = config;
   const Var n = cnf.num_vars();
-  assign_.assign(n, kUndef);
+  value_.assign(static_cast<std::size_t>(n) * 2, kUndef);
   level_.assign(n, 0);
   reason_.assign(n, kNoReason);
+  trail_.clear();
+  trail_limits_.clear();
+  propagate_head_ = 0;
   activity_.assign(n, 0.0);
-  polarity_.assign(n, false);
+  activity_increment_ = 1.0;
+  polarity_.assign(n, 0);
   seen_.assign(n, 0);
   model_.assign(n, false);
-  heap_pos_.assign(n, kNotInHeap);
-  heap_.reserve(n);
-  for (Var v = 0; v < n; ++v) heap_insert(v);
+  // Every activity is 0, so ascending variable order is the heap
+  // heap_insert would build.
+  heap_.resize(n);
+  heap_pos_.resize(n);
+  for (Var v = 0; v < n; ++v) {
+    heap_[v] = v;
+    heap_pos_[v] = v;
+  }
+  stats_ = {};
+  query_base_ = {};
+  num_problem_clauses_ = 0;
+  query_begin_clauses_ = 0;
+  root_conflict_ = false;
 
   // Counting pass: the arena's size and each watch list's initial length
   // (exact unless root units shorten a clause before it is attached).
-  std::size_t num_lits = 0;
-  std::vector<std::uint32_t> watch_count(static_cast<std::size_t>(n) * 2, 0);
-  for (const Clause& c : cnf.clauses()) {
-    num_lits += c.size();
+  watch_count_.assign(static_cast<std::size_t>(n) * 2, 0);
+  for (const std::span<const Lit> c : cnf.clauses()) {
     if (c.size() < 2) continue;
-    ++watch_count[(~c[0]).code()];
-    ++watch_count[(~c[1]).code()];
+    ++watch_count_[(~c[0]).code()];
+    ++watch_count_[(~c[1]).code()];
   }
-  lits_.reserve(num_lits);
+  lits_.clear();
+  lits_.reserve(cnf.num_literals());
+  clause_start_.assign(1, 0);
   clause_start_.reserve(cnf.num_clauses() + 1);
   // Every watch list starts as a block of the watch arena sized to its
   // count plus room for two watches moved in by propagation.
-  watches_.resize(watch_count.size());
+  watches_.assign(watch_count_.size(), WatchList{});
   std::size_t arena_size = 0;
-  for (std::size_t i = 0; i < watch_count.size(); ++i) {
-    if (watch_count[i] == 0) continue;
+  for (std::size_t i = 0; i < watch_count_.size(); ++i) {
+    if (watch_count_[i] == 0) continue;
     watches_[i].begin = static_cast<std::uint32_t>(arena_size);
-    watches_[i].cap = watch_count[i] + 2;
+    watches_[i].cap = watch_count_[i] + 2;
     arena_size += watches_[i].cap;
   }
   if (arena_size > std::numeric_limits<std::uint32_t>::max())
     throw std::length_error("Solver: watch arena exceeds 2^32 entries");
   watch_arena_.resize(arena_size);
 
-  for (const Clause& c : cnf.clauses()) {
+  for (const std::span<const Lit> c : cnf.clauses()) {
     // Strip root-falsified literals; drop root-satisfied clauses. (Units
     // may already be on the trail from earlier clauses.) The reduced
     // clause is written straight into the arena and withdrawn unless it
@@ -139,6 +154,8 @@ Solver::Solver(const Cnf& cnf, SolverConfig config) : config_(config) {
 std::uint32_t Solver::commit_clause() {
   if (lits_.size() > std::numeric_limits<std::uint32_t>::max())
     throw std::length_error("Solver: clause arena exceeds 2^32 literals");
+  if (num_clauses() >= kBinary)
+    throw std::length_error("Solver: clause count reaches 2^31");
   const auto index = static_cast<std::uint32_t>(num_clauses());
   clause_start_.push_back(static_cast<std::uint32_t>(lits_.size()));
   attach(index);
@@ -152,8 +169,10 @@ std::uint32_t Solver::add_internal_clause(std::span<const Lit> c) {
 
 void Solver::attach(std::uint32_t clause_index) {
   const std::span<const Lit> c = clause(clause_index);
-  watch((~c[0]).code(), {clause_index, c[1]});
-  watch((~c[1]).code(), {clause_index, c[0]});
+  const std::uint32_t tagged =
+      c.size() == 2 ? clause_index | kBinary : clause_index;
+  watch((~c[0]).code(), {tagged, c[1]});
+  watch((~c[1]).code(), {tagged, c[0]});
 }
 
 void Solver::watch(std::uint32_t code, Watcher w) {
@@ -184,7 +203,8 @@ bool Solver::enqueue(Lit l, std::uint32_t reason) {
   if (reason != kNoReason && reason >= num_problem_clauses_ &&
       reason < query_begin_clauses_)
     ++stats_.reused_implications;
-  assign_[l.var()] = l.negated() ? kFalse : kTrue;
+  value_[l.code()] = kTrue;
+  value_[(~l).code()] = kFalse;
   level_[l.var()] = static_cast<std::uint32_t>(trail_limits_.size());
   reason_[l.var()] = reason;
   trail_.push_back(l);
@@ -203,15 +223,35 @@ std::uint32_t Solver::propagate() {
     std::uint32_t keep = 0;
     for (std::uint32_t i = 0; i < list.size; ++i) {
       const Watcher w = ws[i];
-      if (value(w.blocker) == kTrue) {
+      const std::uint8_t blocker = value(w.blocker);
+      if (blocker == kTrue) {
         ws[keep++] = w;
+        continue;
+      }
+      if ((w.clause & kBinary) != 0) {
+        // The blocker is the other literal: implied, or in conflict.
+        ws[keep++] = w;
+        const std::uint32_t index = w.clause & ~kBinary;
+        if (blocker == kFalse) {
+          // Leave the clause as [other, ~p], the order the general path
+          // below would have put it in before analyze() reads it.
+          const std::span<Lit> c = clause(index);
+          c[0] = w.blocker;
+          c[1] = ~p;
+          for (std::uint32_t j = i + 1; j < list.size; ++j) ws[keep++] = ws[j];
+          list.size = keep;
+          propagate_head_ = trail_.size();
+          return index;
+        }
+        enqueue(w.blocker, index);
         continue;
       }
       const std::span<Lit> c = clause(w.clause);
       const Lit not_p = ~p;
-      // Invariant: while a clause is some variable's reason, its implied
-      // literal sits in slot 0 and is true, so this swap (which requires
-      // c[0] false) never disturbs a locked reason clause.
+      // Invariant: while a clause of three or more literals is some
+      // variable's reason, its implied literal sits in slot 0 and is true,
+      // so this swap (which requires c[0] false) never disturbs a locked
+      // reason clause.
       if (c[0] == not_p) std::swap(c[0], c[1]);
       if (value(c[0]) == kTrue) {
         ws[keep++] = {w.clause, c[0]};
@@ -253,8 +293,8 @@ void Solver::bump(Var v) {
   if (heap_pos_[v] != kNotInHeap) heap_up(heap_pos_[v]);
 }
 
-void Solver::analyze(std::uint32_t conflict, Clause& learnt,
-                     std::uint32_t& backtrack_level) {
+std::uint32_t Solver::analyze(std::uint32_t conflict) {
+  Clause& learnt = learnt_;
   learnt.clear();
   learnt.push_back(Lit());  // slot 0 reserved for the asserting literal
   const auto current_level = static_cast<std::uint32_t>(trail_limits_.size());
@@ -265,11 +305,10 @@ void Solver::analyze(std::uint32_t conflict, Clause& learnt,
   std::uint32_t clause_index = conflict;
 
   for (;;) {
-    const std::span<const Lit> c = clause(clause_index);
-    // For reason clauses the implied literal is c[0] (see propagate);
-    // skip it when expanding a reason.
-    for (std::size_t k = (have_p ? 1 : 0); k < c.size(); ++k) {
-      const Lit q = c[k];
+    for (const Lit q : clause(clause_index)) {
+      // A reason's implied literal is p itself; it is skipped by identity
+      // (a binary reason need not hold it in slot 0).
+      if (have_p && q == p) continue;
       if (seen_[q.var()] || level(q.var()) == 0) continue;
       seen_[q.var()] = 1;
       bump(q.var());
@@ -293,7 +332,7 @@ void Solver::analyze(std::uint32_t conflict, Clause& learnt,
 
   // Local clause minimization: a non-asserting literal is redundant when
   // every other literal of its reason clause is level-0 or already marked.
-  std::vector<Lit> marked(learnt.begin() + 1, learnt.end());
+  marked_.assign(learnt.begin() + 1, learnt.end());
   auto redundant = [&](Lit q) {
     const std::uint32_t r = reason_[q.var()];
     if (r == kNoReason) return false;
@@ -308,9 +347,9 @@ void Solver::analyze(std::uint32_t conflict, Clause& learnt,
   for (std::size_t i = 1; i < learnt.size(); ++i)
     if (!redundant(learnt[i])) learnt[keep++] = learnt[i];
   learnt.resize(keep);
-  for (Lit q : marked) seen_[q.var()] = 0;
+  for (Lit q : marked_) seen_[q.var()] = 0;
 
-  backtrack_level = 0;
+  std::uint32_t backtrack_level = 0;
   std::size_t max_index = 1;
   for (std::size_t i = 1; i < learnt.size(); ++i) {
     if (level(learnt[i].var()) > backtrack_level) {
@@ -319,6 +358,7 @@ void Solver::analyze(std::uint32_t conflict, Clause& learnt,
     }
   }
   if (learnt.size() > 1) std::swap(learnt[1], learnt[max_index]);
+  return backtrack_level;
 }
 
 void Solver::backtrack_to(std::uint32_t target_level) {
@@ -326,8 +366,9 @@ void Solver::backtrack_to(std::uint32_t target_level) {
   const std::uint32_t boundary = trail_limits_[target_level];
   for (std::size_t i = trail_.size(); i-- > boundary;) {
     const Var v = trail_[i].var();
-    polarity_[v] = assign_[v] == kTrue;
-    assign_[v] = kUndef;
+    polarity_[v] = value(pos(v)) == kTrue ? 1 : 0;
+    value_[pos(v).code()] = kUndef;
+    value_[neg(v).code()] = kUndef;
     reason_[v] = kNoReason;
     heap_insert(v);
   }
@@ -368,7 +409,7 @@ SolveStatus Solver::solve(std::span<const Lit> assumptions) {
   query_begin_clauses_ = num_clauses();
   if (root_conflict_) return SolveStatus::kUnsat;
   for (Lit a : assumptions)
-    if (a.var() >= assign_.size())
+    if (a.var() >= level_.size())
       throw std::invalid_argument("solve: assumption variable out of range");
 
   // Budget plumbing: the conflict cap is the tighter of the config's and
@@ -397,7 +438,6 @@ SolveStatus Solver::solve(std::span<const Lit> assumptions) {
 
   std::uint64_t conflicts_until_restart =
       config_.restart_unit * luby(stats_.restarts);
-  Clause learnt;
 
   // The poll trigger watches loop iterations as well as propagations:
   // propagations can stall (e.g. a long restart phase re-deciding saved
@@ -440,16 +480,14 @@ SolveStatus Solver::solve(std::span<const Lit> assumptions) {
         return SolveStatus::kUnknown;
       }
 
-      std::uint32_t backtrack_level = 0;
-      analyze(conflict, learnt, backtrack_level);
-      backtrack_to(backtrack_level);
-      if (learnt.size() == 1) {
-        enqueue(learnt[0], kNoReason);
+      backtrack_to(analyze(conflict));
+      if (learnt_.size() == 1) {
+        enqueue(learnt_[0], kNoReason);
       } else {
-        const std::uint32_t ci = add_internal_clause(learnt);
+        const std::uint32_t ci = add_internal_clause(learnt_);
         ++stats_.learnt_clauses;
-        stats_.learnt_literals += learnt.size();
-        enqueue(learnt[0], ci);
+        stats_.learnt_literals += learnt_.size();
+        enqueue(learnt_[0], ci);
       }
       activity_increment_ /= config_.activity_decay;
       if (conflicts_until_restart > 0) --conflicts_until_restart;
@@ -479,19 +517,19 @@ SolveStatus Solver::solve(std::span<const Lit> assumptions) {
     Var decision_var = kNullVar;
     while (!heap_.empty()) {
       const Var v = heap_pop();
-      if (assign_[v] == kUndef) {
+      if (value(pos(v)) == kUndef) {
         decision_var = v;
         break;
       }
     }
     if (decision_var == kNullVar) {
-      for (Var v = 0; v < assign_.size(); ++v)
-        model_[v] = assign_[v] == kTrue;
+      for (Var v = 0; v < model_.size(); ++v)
+        model_[v] = value(pos(v)) == kTrue;
       return SolveStatus::kSat;
     }
     ++stats_.decisions;
     trail_limits_.push_back(static_cast<std::uint32_t>(trail_.size()));
-    enqueue(Lit(decision_var, !polarity_[decision_var]), kNoReason);
+    enqueue(Lit(decision_var, polarity_[decision_var] == 0), kNoReason);
   }
 }
 

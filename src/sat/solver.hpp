@@ -16,11 +16,23 @@
 // offset table (clause i is arena[start[i], start[i+1])); learnt clauses
 // are appended to the same arena. Watch lists are blocks of a second
 // arena; a full list moves to a block twice its size at that arena's end.
-// Construction makes one counting pass over the Cnf to size both arenas
-// and every watch list, then copies each clause's root-reduced literals
+// reset() makes one counting pass over the Cnf to size both arenas and
+// every watch list, then copies each clause's root-reduced literals
 // straight into the clause arena — no per-clause or per-literal vector.
 // Clauses and watch lists are named by index everywhere (watchers,
 // reasons), so both arenas may reallocate as the search goes on.
+//
+// Reuse: reset() re-arms a solver for a new formula in the storage of the
+// previous one (every vector keeps its capacity), so a worker that solves
+// one small instance after another allocates only while its instances
+// still grow. A re-armed solver is indistinguishable from a fresh one.
+//
+// Binary clauses: a watcher of a two-literal clause is tagged, and its
+// blocker is always the clause's other literal. Propagation decides such
+// a watcher from the blocker alone — true: satisfied, unassigned:
+// implied, false: conflict — and never loads the clause, so a binary
+// clause's literals are not reordered as a reason. Conflict analysis
+// therefore skips a reason's implied literal by identity, not by slot.
 #pragma once
 
 #include <cstdint>
@@ -103,13 +115,25 @@ struct SolverConfig {
 // parallel ATPG engine relies on, one private Solver per in-flight fault.
 // A single instance is NOT internally synchronized: never call solve()/
 // model()/stats() on the same instance from two threads at once. The input
-// Cnf is only read during construction and need not outlive the Solver.
+// Cnf is only read during construction / reset() and need not outlive the
+// Solver.
 // Determinism: solve() is a pure function of (cnf, config, call history) —
 // no timing, addresses, or randomness feed the search — so concurrent and
 // serial runs return bit-identical models and stats.
 class Solver {
  public:
-  explicit Solver(const Cnf& cnf, SolverConfig config = {});
+  /// An empty solver (no variables, no clauses) to reset() later.
+  Solver() = default;
+  explicit Solver(const Cnf& cnf, SolverConfig config = {}) {
+    reset(cnf, config);
+  }
+
+  /// Re-arms the solver for `cnf` under `config`, discarding every clause,
+  /// assignment, activity and statistic of the previous instance but
+  /// keeping all storage. Afterwards the solver behaves bit for bit like
+  /// Solver(cnf, config). If it throws (the arena guards), reset again
+  /// before any other use.
+  void reset(const Cnf& cnf, SolverConfig config = {});
 
   /// Solves the instance. Repeat calls re-run the search from the root
   /// (learnt clauses are kept, so a second call is cheap).
@@ -166,10 +190,12 @@ class Solver {
   // Truth values use 0 = false, 1 = true, 2 = unassigned.
   static constexpr std::uint8_t kFalse = 0, kTrue = 1, kUndef = 2;
   static constexpr std::uint32_t kNoReason = static_cast<std::uint32_t>(-1);
+  /// Set in Watcher::clause for a binary clause; clause indices stay below.
+  static constexpr std::uint32_t kBinary = std::uint32_t{1} << 31;
 
   struct Watcher {
-    std::uint32_t clause = 0;
-    Lit blocker;
+    std::uint32_t clause = 0;  ///< clause index, | kBinary for a binary one
+    Lit blocker;  ///< a literal of the clause; the other one when binary
   };
   /// A literal's watchers: watch_arena_[begin, begin + size), with room
   /// up to begin + cap.
@@ -179,10 +205,7 @@ class Solver {
     std::uint32_t cap = 0;
   };
 
-  std::uint8_t value(Lit l) const {
-    const std::uint8_t v = assign_[l.var()];
-    return v == kUndef ? kUndef : static_cast<std::uint8_t>(v ^ (l.negated() ? 1 : 0));
-  }
+  std::uint8_t value(Lit l) const { return value_[l.code()]; }
   std::uint32_t level(Var v) const { return level_[v]; }
 
   /// Literals of clause `index` in the arena. Invalidated when a clause is
@@ -195,8 +218,9 @@ class Solver {
 
   bool enqueue(Lit l, std::uint32_t reason);
   std::uint32_t propagate();  // returns conflicting clause index or kNoReason
-  void analyze(std::uint32_t conflict, Clause& learnt,
-               std::uint32_t& backtrack_level);
+  /// 1-UIP analysis of `conflict` into learnt_ (asserting literal first,
+  /// then the literal of the backtrack level); returns that level.
+  std::uint32_t analyze(std::uint32_t conflict);
   void backtrack_to(std::uint32_t target_level);
   void bump(Var v);
   void attach(std::uint32_t clause_index);
@@ -205,6 +229,8 @@ class Solver {
   void watch(std::uint32_t code, Watcher w);
   /// Ends the clause whose literals were appended to the arena since the
   /// last clause ended, and attaches its watches; returns its index.
+  /// Throws std::length_error before an index would reach kBinary or the
+  /// arena 2^32 literals.
   std::uint32_t commit_clause();
   std::uint32_t add_internal_clause(std::span<const Lit> c);
 
@@ -221,7 +247,8 @@ class Solver {
   std::vector<std::uint32_t> clause_start_{0};  // arena offsets, + sentinel
   std::vector<Watcher> watch_arena_;  // every literal's watch list
   std::vector<WatchList> watches_;    // indexed by Lit::code()
-  std::vector<std::uint8_t> assign_;
+  std::vector<std::uint32_t> watch_count_;  // reset()'s counting pass
+  std::vector<std::uint8_t> value_;  // per literal code: kFalse/kTrue/kUndef
   std::vector<std::uint32_t> level_;
   std::vector<std::uint32_t> reason_;
   std::vector<Lit> trail_;
@@ -230,8 +257,10 @@ class Solver {
 
   std::vector<double> activity_;
   double activity_increment_ = 1.0;
-  std::vector<bool> polarity_;  // saved phases
+  std::vector<std::uint8_t> polarity_;  // saved phases: 1 = true
   std::vector<std::uint8_t> seen_;
+  Clause learnt_;             // analyze(): the clause being learnt
+  std::vector<Lit> marked_;   // analyze(): literals whose seen_ to clear
   std::vector<Var> heap_;
   std::vector<std::size_t> heap_pos_;
 

@@ -111,7 +111,7 @@ std::optional<std::vector<bool>> TwoSat::solve() const {
 }
 
 bool is_2sat(const Cnf& f) {
-  for (const Clause& c : f.clauses())
+  for (const std::span<const Lit> c : f.clauses())
     if (c.size() > 2) return false;
   return true;
 }
@@ -120,7 +120,7 @@ std::optional<std::vector<bool>> solve_2sat(const Cnf& f) {
   if (!is_2sat(f))
     throw std::invalid_argument("solve_2sat: clause with > 2 literals");
   TwoSat solver(f.num_vars());
-  for (const Clause& c : f.clauses()) {
+  for (const std::span<const Lit> c : f.clauses()) {
     if (c.size() == 1)
       solver.add_unit(c[0]);
     else

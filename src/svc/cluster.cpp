@@ -96,7 +96,7 @@ class ReplayProvider final : public fault::detail::SolveProvider {
       fault::FaultOutcome& outcome = result.outcomes[fi];
       fault::Pattern unused;
       fault::FaultOutcome main =
-          fault::generate_test(net_, faults_[fi], capped, unused);
+          fault::generate_test(net_, faults_[fi], capped, workspace_, unused);
       main.status = outcome.status;
       main.test_index = outcome.test_index;
       outcome = main;
@@ -116,7 +116,7 @@ class ReplayProvider final : public fault::detail::SolveProvider {
       if (job_budget_.exhausted()) return interrupt(fault_index);
       ++merge_solves_;
       fault::FaultOutcome solved = fault::generate_test(
-          net_, faults_[fault_index], solve_config_, test_out);
+          net_, faults_[fault_index], solve_config_, workspace_, test_out);
       // A budget that fired mid-solve made the outcome an artifact of the
       // cutoff, not the fault's classification.
       if (job_budget_.exhausted()) return interrupt(fault_index);
@@ -190,6 +190,7 @@ class ReplayProvider final : public fault::detail::SolveProvider {
   const Budget& job_budget_;
   std::span<const fault::StuckAtFault> faults_;
   sat::SolverConfig solve_config_;
+  fault::SatWorkspace workspace_;  // every solve this merge runs
   /// Main-pass aborts of the faults solved here, by fault index.
   std::map<std::size_t, fault::FaultOutcome> aborted_;
   /// Faults holding a stand-in main-pass abort, ascending.

@@ -36,7 +36,9 @@ class Fnv1a {
 std::size_t estimate_bytes(const CircuitEntry& entry) {
   // A deliberate estimate, not an accounting: what the budget needs is a
   // monotone, stable proxy for footprint so eviction pressure scales with
-  // circuit size.
+  // circuit size. It counts each node with its fanin and fanout lists, the
+  // fault list, and each CNF's flat storage (literal arena plus clause
+  // offsets).
   std::size_t bytes = 0;
   for (net::NodeId id = 0; id < entry.net.node_count(); ++id) {
     bytes += sizeof(net::Network::Node) + 2 * sizeof(std::vector<net::NodeId>);
@@ -44,11 +46,8 @@ std::size_t estimate_bytes(const CircuitEntry& entry) {
              sizeof(net::NodeId);
   }
   bytes += entry.faults.size() * sizeof(fault::StuckAtFault);
-  bytes += entry.base_cnf.num_clauses() * sizeof(sat::Clause) +
-           entry.base_cnf.num_literals() * sizeof(sat::Lit);
-  if (entry.miter != nullptr)
-    bytes += entry.miter->cnf().num_clauses() * sizeof(sat::Clause) +
-             entry.miter->cnf().num_literals() * sizeof(sat::Lit);
+  bytes += entry.base_cnf.storage_bytes();
+  if (entry.miter != nullptr) bytes += entry.miter->cnf().storage_bytes();
   return bytes;
 }
 

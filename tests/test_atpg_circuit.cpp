@@ -303,7 +303,8 @@ void expect_direct_encoding(const net::Network& n, const StuckAtFault& f) {
   ASSERT_EQ(got.num_vars(), expected.num_vars());
   ASSERT_EQ(got.num_clauses(), expected.num_clauses());
   for (std::size_t i = 0; i < got.num_clauses(); ++i)
-    ASSERT_EQ(got.clause(i), expected.clause(i)) << "clause " << i;
+    ASSERT_TRUE(std::ranges::equal(got.clause(i), expected.clause(i)))
+        << "clause " << i;
 
   ASSERT_EQ(direct->input_vars.size(), n.inputs().size());
   for (std::size_t i = 0; i < n.inputs().size(); ++i) {
@@ -331,6 +332,28 @@ TEST(AtpgEncoding, DirectEqualsMiterEncodingOnEveryFault) {
     for (const StuckAtFault& f : all_faults(n)) expect_direct_encoding(n, f);
 }
 
+// One scratch and one instance reused across faults of two networks (three
+// faults on one, then three on the other), unreachable faults included,
+// encode exactly what a fresh call does.
+TEST(AtpgEncoding, ReusedScratchEncodesLikeAFreshCall) {
+  const net::Network circuits[] = {gen::ripple_carry_adder(4),
+                                   net::decompose(gen::comparator(3))};
+  MiterScratch scratch;
+  AtpgInstance reused;
+  for (std::size_t k = 0; k < 60; ++k) {
+    const net::Network& n = circuits[(k / 3) % 2];
+    const std::vector<StuckAtFault> faults = all_faults(n);
+    StuckAtFault f = faults[(k * 7) % faults.size()];
+    if (k % 5 == 4) f.node = static_cast<net::NodeId>(n.node_count());
+    const std::optional<AtpgInstance> fresh = encode_atpg_instance(n, f);
+    ASSERT_EQ(encode_atpg_instance(n, f, scratch, reused), fresh.has_value())
+        << "step " << k;
+    if (!fresh) continue;
+    EXPECT_EQ(reused.cnf.to_dimacs(), fresh->cnf.to_dimacs()) << "step " << k;
+    EXPECT_EQ(reused.input_vars, fresh->input_vars) << "step " << k;
+  }
+}
+
 TEST(AtpgEncoding, StemFaultOnPrimaryInput) {
   const net::Network n = gen::c17();
   const StuckAtFault f{*n.find("3"), StuckAtFault::kStem, false};
@@ -341,7 +364,7 @@ TEST(AtpgEncoding, StemFaultOnPrimaryInput) {
   EXPECT_EQ(atpg.faulty_of[f.node], atpg.fault_const_node);
   const auto direct = encode_atpg_instance(n, f);
   ASSERT_TRUE(direct.has_value());
-  const sat::Clause& unit =
+  const std::span<const sat::Lit> unit =
       direct->cnf.clause(direct->cnf.num_clauses() - 1);
   ASSERT_EQ(unit.size(), 1u);
   EXPECT_EQ(unit[0], sat::pos(atpg.good_of[f.node]));
@@ -408,7 +431,8 @@ TEST(AtpgEncoding, UnreachableAndInvalidFaults) {
     EXPECT_FALSE(encode_atpg_instance(n, f).has_value());
     expect_direct_encoding(n, f);
     Pattern test;
-    EXPECT_EQ(generate_test(n, f, {}, test).status,
+    SatWorkspace workspace;
+    EXPECT_EQ(generate_test(n, f, {}, workspace, test).status,
               FaultStatus::kUnreachable);
   }
 }

@@ -151,7 +151,7 @@ TEST(Classes, HiddenHornFindsRenaming) {
   const auto flip = hidden_horn_renaming(f);
   ASSERT_TRUE(flip.has_value());
   // Verify: after renaming, every clause has <= 1 positive literal.
-  for (const Clause& c : f.clauses()) {
+  for (const std::span<const Lit> c : f.clauses()) {
     std::size_t positives = 0;
     for (Lit l : c)
       if (l.negated() == (*flip)[l.var()]) ++positives;
@@ -186,7 +186,7 @@ TEST(Classes, QHornAcceptsHorn2SatMixture) {
   const QHorn q = q_horn(f);
   EXPECT_TRUE(q.is_qhorn);
   // The witness must satisfy every clause inequality.
-  for (const Clause& c : f.clauses()) {
+  for (const std::span<const Lit> c : f.clauses()) {
     double sum = 0;
     for (Lit l : c)
       sum += l.negated() ? 1.0 - q.alpha[l.var()] : q.alpha[l.var()];

@@ -76,6 +76,39 @@ TEST(Cnf, NumLiterals) {
   EXPECT_EQ(f.num_literals(), 3u);
 }
 
+TEST(Cnf, ResetDropsEveryClauseAndNormalizesAfresh) {
+  Cnf f(4);
+  f.add_clause({pos(3), neg(1), pos(0)});
+  f.add_clause({neg(2)});
+  f.reset(3);
+  EXPECT_EQ(f.num_vars(), 3u);
+  EXPECT_EQ(f.num_clauses(), 0u);
+  EXPECT_EQ(f.num_literals(), 0u);
+  EXPECT_EQ(f.to_dimacs(), "p cnf 3 0\n");
+  EXPECT_TRUE(f.add_clause({pos(2), neg(0), pos(2)}));  // sorted, deduped
+  // A rejected clause leaves nothing behind in the arena.
+  EXPECT_FALSE(f.add_clause({pos(1), neg(1)}));
+  EXPECT_THROW(f.add_clause({pos(0), pos(3)}), std::invalid_argument);
+  EXPECT_TRUE(f.add_clause({neg(1)}));
+  EXPECT_EQ(f.num_literals(), 3u);
+  EXPECT_EQ(f.to_dimacs(), "p cnf 3 2\n-1 3 0\n-2 0\n");
+}
+
+TEST(Cnf, ClauseRangeMatchesIndexedClauses) {
+  Cnf f(3);
+  f.add_clause({pos(0), neg(2)});
+  f.add_clause({neg(1)});
+  f.add_clause({pos(1), pos(2), neg(0)});
+  std::size_t i = 0;
+  for (const std::span<const Lit> c : f.clauses()) {
+    ASSERT_LT(i, f.num_clauses());
+    EXPECT_EQ(c.data(), f.clause(i).data());
+    EXPECT_EQ(c.size(), f.clause(i).size());
+    ++i;
+  }
+  EXPECT_EQ(i, 3u);
+}
+
 TEST(Cnf, DimacsShape) {
   Cnf f(2);
   f.add_clause({pos(0), neg(1)});

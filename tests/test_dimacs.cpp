@@ -127,6 +127,22 @@ TEST(Dimacs, RoundTripWithWriter) {
   EXPECT_EQ(solve_cnf(reread).status, solve_cnf(original).status);
 }
 
+// The exact rendering of CIRCUIT-SAT(c17): variable numbering, clause
+// order and literal order of the encoder, and the writer's format.
+TEST(Dimacs, CircuitSatRenderingOfC17IsPinned) {
+  EXPECT_EQ(encode_circuit_sat(gen::c17()).to_dimacs(),
+            "p cnf 13 23\n"
+            "3 6 0\n4 6 0\n-3 -4 -6 0\n"
+            "2 7 0\n6 7 0\n-2 -6 -7 0\n"
+            "6 8 0\n5 8 0\n-5 -6 -8 0\n"
+            "7 9 0\n8 9 0\n-7 -8 -9 0\n"
+            "1 10 0\n3 10 0\n-1 -3 -10 0\n"
+            "10 11 0\n7 11 0\n-7 -10 -11 0\n"
+            "11 -12 0\n-11 12 0\n"
+            "9 -13 0\n-9 13 0\n"
+            "12 13 0\n");
+}
+
 TEST(Dimacs, RoundTripLiteralExact) {
   Cnf f(3);
   f.add_clause({pos(0), neg(2)});

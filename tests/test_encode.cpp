@@ -108,7 +108,7 @@ TEST(Encode, CircuitSatAddsObjectiveClause) {
   const Cnf without = encode_constraints(n);
   EXPECT_EQ(with.num_clauses(), without.num_clauses() + 1);
   // The last clause mentions exactly the PO variables, positively.
-  const Clause& obj = with.clause(with.num_clauses() - 1);
+  const std::span<const Lit> obj = with.clause(with.num_clauses() - 1);
   EXPECT_EQ(obj.size(), n.outputs().size());
   for (Lit l : obj) EXPECT_FALSE(l.negated());
 }

@@ -59,7 +59,7 @@ TEST(StaticImplications, LearnsTransitiveBinaries) {
   const Cnf g = add_static_implications(f, &stats);
   EXPECT_GT(stats.binaries_added, 0u);
   bool found = false;
-  for (const Clause& c : g.clauses())
+  for (const std::span<const Lit> c : g.clauses())
     if (c.size() == 2 &&
         ((c[0] == neg(0) && c[1] == pos(2)) ||
          (c[0] == pos(2) && c[1] == neg(0))))
@@ -84,7 +84,7 @@ TEST(StaticImplications, FailedLiteralBecomesUnit) {
   const Cnf g = add_static_implications(f, &stats);
   EXPECT_EQ(stats.failed_literals, 1u);
   bool unit = false;
-  for (const Clause& c : g.clauses())
+  for (const std::span<const Lit> c : g.clauses())
     if (c.size() == 1 && c[0] == neg(0)) unit = true;
   EXPECT_TRUE(unit);
 }

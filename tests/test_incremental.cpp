@@ -139,10 +139,11 @@ TEST(SharedMiter, CoversEntireCollapsedFaultList) {
 TEST(SharedMiter, AgreesWithPerFaultEngineOnC17) {
   const net::Network n = gen::c17();
   SharedMiter miter(n);
+  SatWorkspace workspace;
   for (const StuckAtFault& f : collapsed_fault_list(n)) {
     Pattern inc_test, ref_test;
     const auto inc = miter.solve_fault(f, inc_test);
-    const FaultOutcome ref = generate_test(n, f, {}, ref_test);
+    const FaultOutcome ref = generate_test(n, f, {}, workspace, ref_test);
     if (ref.status == FaultStatus::kDetected) {
       ASSERT_EQ(inc, sat::SolveStatus::kSat) << to_string(n, f);
       EXPECT_TRUE(detects(n, f, inc_test)) << to_string(n, f);
@@ -165,7 +166,8 @@ TEST(SharedMiter, BranchFaultsAgreeOnFanoutHeavyLogic) {
       ++branches;
       Pattern inc_test, ref_test;
       const auto inc = miter.solve_fault(f, inc_test);
-      const FaultOutcome ref = generate_test(n, f, {}, ref_test);
+      SatWorkspace workspace;
+      const FaultOutcome ref = generate_test(n, f, {}, workspace, ref_test);
       if (ref.status == FaultStatus::kDetected) {
         ASSERT_EQ(inc, sat::SolveStatus::kSat)
             << n.name() << " " << to_string(n, f);
@@ -228,9 +230,10 @@ TEST(SharedMiter, ConeRestrictionPinsOffConeInputs) {
   // per-fault engine despite the restriction.
   SharedMiter miter(encoding);
   Pattern test;
+  SatWorkspace workspace;
   for (const StuckAtFault& f : collapsed_fault_list(n)) {
     Pattern ref_test;
-    const FaultOutcome ref = generate_test(n, f, {}, ref_test);
+    const FaultOutcome ref = generate_test(n, f, {}, workspace, ref_test);
     const sat::SolveStatus inc = miter.solve_fault(f, test);
     if (ref.status == FaultStatus::kDetected) {
       EXPECT_EQ(inc, sat::SolveStatus::kSat) << to_string(n, f);
@@ -347,9 +350,11 @@ TEST(RunIncremental, MatchesPerFaultAcrossFamilies) {
     const auto faults = collapsed_fault_list(n);
     const auto outcomes = run_atpg_incremental(n, faults);
     ASSERT_EQ(outcomes.size(), faults.size());
+    SatWorkspace workspace;
     for (std::size_t i = 0; i < faults.size(); ++i) {
       Pattern ref_test;
-      const FaultOutcome ref = generate_test(n, faults[i], {}, ref_test);
+      const FaultOutcome ref =
+          generate_test(n, faults[i], {}, workspace, ref_test);
       if (ref.status == FaultStatus::kDetected) {
         ASSERT_EQ(outcomes[i].status, sat::SolveStatus::kSat)
             << n.name() << " " << to_string(n, faults[i]);
@@ -373,9 +378,11 @@ TEST_P(IncrementalRandomSweep, AgreesOnRandomLogic) {
   const net::Network n = net::decompose(gen::hutton_random(p));
   const auto faults = collapsed_fault_list(n);
   const auto outcomes = run_atpg_incremental(n, faults);
+  SatWorkspace workspace;
   for (std::size_t i = 0; i < faults.size(); i += 2) {
     Pattern ref_test;
-    const FaultOutcome ref = generate_test(n, faults[i], {}, ref_test);
+    const FaultOutcome ref =
+        generate_test(n, faults[i], {}, workspace, ref_test);
     const bool ref_testable = ref.status == FaultStatus::kDetected;
     const bool inc_testable =
         outcomes[i].status == sat::SolveStatus::kSat;

@@ -114,10 +114,11 @@ TEST(Podem, AgreesWithSatOnTestability) {
         net::decompose(gen::ripple_carry_adder(3)),
         net::decompose(gen::simple_alu(2)),
         net::decompose(gen::comparator(3))}) {
+    SatWorkspace workspace;
     for (const StuckAtFault& f : collapsed_fault_list(n)) {
       const PodemResult structural = podem(n, f);
       Pattern test;
-      const FaultOutcome sat_based = generate_test(n, f, {}, test);
+      const FaultOutcome sat_based = generate_test(n, f, {}, workspace, test);
       ASSERT_NE(structural.status, PodemStatus::kAborted);
       if (sat_based.status == FaultStatus::kDetected) {
         EXPECT_EQ(structural.status, PodemStatus::kDetected)

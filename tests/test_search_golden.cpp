@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <string>
 
+#include "fault/parallel_atpg.hpp"
 #include "fault/tegus.hpp"
 #include "gen/hutton.hpp"
 #include "gen/structured.hpp"
@@ -109,6 +110,32 @@ net::Network hutton_member() {
   return gen::hutton_random(params);
 }
 
+/// Redundancy-heavy random logic: short wires and a narrow input layer
+/// leave about 300 of its 681 collapsed faults untestable, so most of its
+/// instances end in an UNSAT proof.
+net::Network redundant_member() {
+  gen::HuttonParams params;
+  params.num_gates = 200;
+  params.num_inputs = 24;
+  params.num_outputs = 10;
+  params.locality = 0.5;
+  params.seed = 1;
+  return gen::hutton_random(params);
+}
+
+/// A conflict cap of 4 aborts most hard instances; one escalation round
+/// at twice the cap re-solves some, and PODEM with a small backtrack cap
+/// resolves most of the rest, leaving some faults aborted. Random phase
+/// and drop-by-simulation stay on, so escalated tests drop other aborts.
+AtpgOptions capped_options() {
+  AtpgOptions options;
+  options.solver.max_conflicts = 4;
+  options.escalation_rounds = 1;
+  options.escalation_growth = 2;
+  options.podem_max_backtracks = 64;
+  return options;
+}
+
 struct Golden {
   const char* name;
   net::Network (*make)();
@@ -124,6 +151,8 @@ const Golden kGoldens[] = {
      0x3618cb9028593becULL, 0x4b227e736a39a811ULL},
     {"xor_ecc16", [] { return gen::hamming_ecc(16); }, 0x5b4168e427c38016ULL,
      0xe687a5bdffe39446ULL},
+    {"redundant200", redundant_member, 0x97d9ea35dc2a51a6ULL,
+     0xff53d4516644e28bULL},
 };
 
 TEST(SearchGolden, PerFaultDigestsMatchRecorded) {
@@ -141,6 +170,41 @@ TEST(SearchGolden, IncrementalDigestsMatchRecorded) {
     const AtpgResult r = run_atpg(n, incremental_options());
     EXPECT_EQ(hex(digest_of(r)), hex(g.incremental))
         << g.name << ": " << effort_of(r);
+  }
+}
+
+TEST(SearchGolden, RedundantMemberIsUnsatHeavy) {
+  const AtpgResult r = run_atpg(redundant_member(), per_fault_options());
+  EXPECT_GE(r.num_untestable, 100u) << effort_of(r);
+}
+
+TEST(SearchGolden, CappedRunDigestMatchesRecorded) {
+  const AtpgResult r = run_atpg(redundant_member(), capped_options());
+  std::size_t retried = 0;
+  std::size_t podem = 0;
+  for (const FaultOutcome& o : r.outcomes) {
+    retried += o.engine == SolveEngine::kSatRetry ? 1 : 0;
+    podem += o.engine == SolveEngine::kPodem ? 1 : 0;
+  }
+  // The run must reach every rung of the ladder for the digest to pin it.
+  EXPECT_GT(retried, 0u);
+  EXPECT_GT(podem, 0u);
+  EXPECT_GT(r.num_aborted, 0u);
+  EXPECT_EQ(hex(digest_of(r)), hex(0x287efc6bd5ebfc4dULL)) << effort_of(r);
+}
+
+// Every pool worker solves on its own SAT state; the parallel result is
+// the serial one bit for bit, so it has the serial run's digest.
+TEST(SearchGolden, ParallelDigestsMatchSerialRecorded) {
+  const Golden& g = kGoldens[std::size(kGoldens) - 1];
+  const net::Network n = g.make();
+  for (const std::size_t threads : {2u, 4u}) {
+    ParallelAtpgOptions options;
+    options.base = per_fault_options();
+    options.num_threads = threads;
+    const AtpgResult r = run_atpg_parallel(n, options);
+    EXPECT_EQ(hex(digest_of(r)), hex(g.per_fault))
+        << g.name << " at " << threads << " threads: " << effort_of(r);
   }
 }
 

@@ -38,6 +38,22 @@ Cnf random_cnf(Var vars, std::size_t clauses, std::uint64_t seed) {
   return f;
 }
 
+/// PHP(pigeons, holes): UNSAT whenever pigeons > holes.
+Cnf pigeonhole(int pigeons, int holes) {
+  Cnf f(static_cast<Var>(pigeons * holes));
+  auto var = [&](int p, int h) { return static_cast<Var>(p * holes + h); };
+  for (int p = 0; p < pigeons; ++p) {
+    Clause c;
+    for (int h = 0; h < holes; ++h) c.push_back(pos(var(p, h)));
+    f.add_clause(c);
+  }
+  for (int h = 0; h < holes; ++h)
+    for (int p1 = 0; p1 < pigeons; ++p1)
+      for (int p2 = p1 + 1; p2 < pigeons; ++p2)
+        f.add_clause({neg(var(p1, h)), neg(var(p2, h))});
+  return f;
+}
+
 TEST(Solver, TrivialSat) {
   Cnf f(1);
   f.add_clause({pos(0)});
@@ -215,6 +231,82 @@ TEST_P(RandomCnfAgreement, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCnfAgreement,
                          ::testing::Range<std::uint64_t>(0, 20));
+
+/// Re-arms `reused` for `f` and checks it against a fresh Solver(f, config)
+/// over two solve() calls: status, model, stats and per-call stats.
+/// Returns the first call's status.
+SolveStatus expect_rearmed_matches_fresh(Solver& reused, const Cnf& f,
+                                         const SolverConfig& config,
+                                         const char* step) {
+  Solver fresh(f, config);
+  reused.reset(f, config);
+  SolveStatus first = SolveStatus::kUnknown;
+  for (int call = 0; call < 2; ++call) {
+    const SolveStatus want = fresh.solve();
+    EXPECT_EQ(reused.solve(), want) << step << ", call " << call;
+    EXPECT_EQ(reused.model(), fresh.model()) << step << ", call " << call;
+    EXPECT_EQ(reused.stats(), fresh.stats()) << step << ", call " << call;
+    EXPECT_EQ(reused.query_stats(), fresh.query_stats())
+        << step << ", call " << call;
+    if (call == 0) first = want;
+  }
+  return first;
+}
+
+TEST(Solver, RearmedSolverIsIndistinguishableFromFresh) {
+  Solver reused;
+  const SolverConfig plain;
+
+  const Cnf sat =
+      encode_circuit_sat(net::decompose(gen::ripple_carry_adder(4)));
+  // Root units on top: a re-armed solver must place them at level 0 even
+  // when the previous instance ended deep in the search.
+  Cnf units = sat;
+  units.add_clause({pos(0)});
+  units.add_clause({neg(1)});
+
+  EXPECT_EQ(expect_rearmed_matches_fresh(reused, sat, plain, "sat"),
+            SolveStatus::kSat);
+  EXPECT_EQ(expect_rearmed_matches_fresh(reused, units, plain, "units"),
+            SolveStatus::kSat);
+
+  EXPECT_EQ(expect_rearmed_matches_fresh(reused, pigeonhole(5, 4), plain,
+                                         "unsat"),
+            SolveStatus::kUnsat);
+  EXPECT_GT(reused.stats().conflicts, 0u);
+
+  // Units that contradict while the clauses are being added.
+  Cnf root(3);
+  root.add_clause({pos(0)});
+  root.add_clause({neg(0), pos(1)});
+  root.add_clause({neg(1)});
+  root.add_clause({pos(1), pos(2)});
+  EXPECT_EQ(expect_rearmed_matches_fresh(reused, root, plain, "root conflict"),
+            SolveStatus::kUnsat);
+  EXPECT_EQ(reused.stats().conflicts, 0u);
+
+  SolverConfig capped;
+  capped.max_conflicts = 3;
+  EXPECT_EQ(expect_rearmed_matches_fresh(reused, pigeonhole(6, 5), capped,
+                                         "capped"),
+            SolveStatus::kUnknown);
+  EXPECT_EQ(reused.stats().stop_reason, StopReason::kConflictLimit);
+  expect_rearmed_matches_fresh(reused, units, plain, "units after capped");
+
+  Budget cancelled;
+  cancelled.cancel();
+  SolverConfig cancelling;
+  cancelling.budget = &cancelled;
+  EXPECT_EQ(expect_rearmed_matches_fresh(reused, pigeonhole(4, 3),
+                                         cancelling, "cancelled"),
+            SolveStatus::kUnknown);
+  EXPECT_EQ(reused.stats().stop_reason, StopReason::kCancelled);
+
+  for (std::uint64_t seed = 1; seed <= 20; ++seed)
+    expect_rearmed_matches_fresh(reused, random_cnf(30, 90, seed), plain,
+                                 "random");
+  expect_rearmed_matches_fresh(reused, units, plain, "units after random");
+}
 
 }  // namespace
 }  // namespace cwatpg::sat

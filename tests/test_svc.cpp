@@ -313,6 +313,24 @@ TEST(SvcRegistry, EntryPrecomputesFaultListAndCnf) {
     EXPECT_TRUE(entry->miter->covers(f));
 }
 
+// The footprint estimate counts each CNF's flat storage: its literals plus
+// one offset per clause, and nothing per clause beyond that.
+TEST(SvcRegistry, EstimateCountsFlatCnfStorage) {
+  CircuitRegistry reg(std::size_t(64) << 20);
+  const auto entry = reg.load_bench(bench_text(test_circuit()), "c");
+  ASSERT_NE(entry, nullptr);
+  const sat::Cnf& base = entry->base_cnf;
+  const sat::Cnf& miter = entry->miter->cnf();
+  EXPECT_EQ(base.storage_bytes(),
+            base.num_literals() * sizeof(sat::Lit) +
+                (base.num_clauses() + 1) * sizeof(std::uint32_t));
+  EXPECT_GT(entry->approx_bytes, base.storage_bytes() + miter.storage_bytes());
+  EXPECT_LT(entry->approx_bytes,
+            base.storage_bytes() + miter.storage_bytes() +
+                (base.num_clauses() + miter.num_clauses()) *
+                    sizeof(std::vector<sat::Lit>));
+}
+
 TEST(SvcRegistry, LruEvictionUnderByteBudget) {
   // A 1-byte budget forces eviction on every insert, but the registry must
   // always retain the latest entry (a cache that cannot hold what it was

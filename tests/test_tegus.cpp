@@ -12,8 +12,9 @@ namespace {
 TEST(Tegus, GenerateTestForKnownFault) {
   const net::Network n = gen::c17();
   Pattern test;
+  SatWorkspace workspace;
   const FaultOutcome outcome = generate_test(
-      n, {*n.find("10"), StuckAtFault::kStem, true}, {}, test);
+      n, {*n.find("10"), StuckAtFault::kStem, true}, {}, workspace, test);
   ASSERT_EQ(outcome.status, FaultStatus::kDetected);
   EXPECT_TRUE(detects(n, outcome.fault, test));
   EXPECT_GT(outcome.sat_vars, 0u);
@@ -28,8 +29,9 @@ TEST(Tegus, UntestableFaultProvenUnsat) {
   const auto g = n.add_gate(net::GateType::kOr, {a, na});
   n.add_output(g, "o");
   Pattern test;
+  SatWorkspace workspace;
   const FaultOutcome outcome =
-      generate_test(n, {g, StuckAtFault::kStem, true}, {}, test);
+      generate_test(n, {g, StuckAtFault::kStem, true}, {}, workspace, test);
   EXPECT_EQ(outcome.status, FaultStatus::kUntestable);
 }
 
@@ -40,8 +42,9 @@ TEST(Tegus, UnreachableFaultFlagged) {
   n.add_gate(net::GateType::kNot, {dangle});  // still dangling
   n.add_output(n.add_gate(net::GateType::kBuf, {a}), "o");
   Pattern test;
-  const FaultOutcome outcome =
-      generate_test(n, {dangle, StuckAtFault::kStem, true}, {}, test);
+  SatWorkspace workspace;
+  const FaultOutcome outcome = generate_test(
+      n, {dangle, StuckAtFault::kStem, true}, {}, workspace, test);
   EXPECT_EQ(outcome.status, FaultStatus::kUnreachable);
 }
 
